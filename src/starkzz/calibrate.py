@@ -20,13 +20,15 @@ import scipy.optimize
 
 from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
-from .operators import (DriveRole, DriveTone, SystemSpec,
-                        build_rwa_hamiltonian_sparse, direct_coupling)
+from .operators import (DriveRole, DriveTone, SystemSpec, basis_label,
+                        build_rwa_hamiltonian_sparse, computational_labels)
 from .perturbation import PerturbativeInputs, zx_with_cancellation
 from .pulse import (Envelope, EnvelopeKind, FrameChange, OperatingFrame, Play,
-                    PulseSchedule, GateResult, _fit_rotation, propagate)
-from .spectrum import (driven_pair_rates, pair_rates, targeted_label_energies,
-                       undriven_reference)
+                    PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
+                    _evolve, _fit_rotation, _rotation_model, _rotation_seed,
+                    propagate)
+from .spectrum import (driven_pair_rates, labeled_spectrum,
+                       targeted_label_energies)
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,59 +178,36 @@ class _ChainEvaluator:
         self.dims = system.dims
         self.n = system.num_transmons
         self.dense = system.total_dimension <= DENSE_LIMIT
-        self._undriven = self._energies((), self._all_labels())
-
-    def _all_labels(self):
-        labels = [tuple([0] * self.n)]
-        for i in range(self.n):
-            one = [0] * self.n
-            one[i] = 1
-            labels.append(tuple(one))
-        return labels
-
-    def _labels_for_pair(self, q0, q1):
-        out = []
-        for b0, b1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            label = [0] * self.n
-            label[q0], label[q1] = b0, b1
-            out.append(tuple(label))
-        return out
+        self.ground = basis_label(self.n)
+        self.singles = [basis_label(self.n, {i: 1}) for i in range(self.n)]
+        self._undriven = self._energies((), [self.ground, *self.singles])
 
     def _energies(self, drives, labels) -> dict:
         system = self.base.with_drives(drives)
         h = build_rwa_hamiltonian_sparse(system, self.nu_d)
         if self.dense:
-            from .spectrum import labeled_spectrum
             spec = labeled_spectrum(h.toarray(), self.dims, self.nu_d)
             return {tuple(lab): spec.energy(lab) for lab in labels}
         found = targeted_label_energies(h, self.dims, labels)
         return {lab: e for lab, (e, _) in found.items()}
 
     def pair_zz(self, drives, q0: int, q1: int) -> float:
-        labels = self._labels_for_pair(q0, q1)
+        labels = computational_labels(self.n, q0, q1)
         e = self._energies(drives, labels)
         return ((e[labels[3]] - e[labels[2]]) - (e[labels[1]] - e[labels[0]]))
 
+    def _shift(self, e: dict, label) -> float:
+        driven = e[label] - e[self.ground]
+        bare = self._undriven[label] - self._undriven[self.ground]
+        return driven - bare
+
     def stark_shifts(self, drives) -> list[float]:
-        labels = self._all_labels()
-        e = self._energies(drives, labels)
-        ground = labels[0]
-        shifts = []
-        for i, label in enumerate(labels[1:]):
-            driven = e[label] - e[ground]
-            bare = self._undriven[label] - self._undriven[ground]
-            shifts.append(driven - bare)
-        return shifts
+        e = self._energies(drives, [self.ground, *self.singles])
+        return [self._shift(e, label) for label in self.singles]
 
     def stark_shift_of(self, drives, qubit: int) -> float:
-        ground = tuple([0] * self.n)
-        one = [0] * self.n
-        one[qubit] = 1
-        labels = [ground, tuple(one)]
-        e = self._energies(drives, labels)
-        driven = e[labels[1]] - e[ground]
-        bare = self._undriven[labels[1]] - self._undriven[ground]
-        return driven - bare
+        label = self.singles[qubit]
+        return self._shift(self._energies(drives, [self.ground, label]), label)
 
 
 def _seed_amplitude(evaluator: _ChainEvaluator, system: SystemSpec, nu_d: float,
@@ -331,15 +310,10 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
 
 def _prep_state(frame: OperatingFrame, control: int, target: int,
                 control_state: int, target_axis: str) -> np.ndarray:
-    base = [0] * len(frame.dims)
-    base[control] = control_state
-    lo = list(base)
-    hi = list(base)
-    hi[target] = 1
-    dim = frame.dim
-    psi = np.zeros(dim, dtype=complex)
-    i_lo = frame._label_pos(tuple(lo))
-    i_hi = frame._label_pos(tuple(hi))
+    n_modes = len(frame.dims)
+    psi = np.zeros(frame.dim, dtype=complex)
+    i_lo = frame._label_pos(basis_label(n_modes, {control: control_state}))
+    i_hi = frame._label_pos(basis_label(n_modes, {control: control_state, target: 1}))
     if target_axis == "z":
         psi[i_lo] = 1.0
     elif target_axis == "x":
@@ -349,22 +323,12 @@ def _prep_state(frame: OperatingFrame, control: int, target: int,
     return psi
 
 
-def _bloch_of(frame: OperatingFrame, qubit: int, amp: np.ndarray) -> np.ndarray:
-    idx0, idx1 = frame.qubit_pairings(qubit)
-    cross = np.vdot(amp[idx0], amp[idx1])
-    z = float(np.sum(np.abs(amp[idx0]) ** 2) - np.sum(np.abs(amp[idx1]) ** 2))
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, z])
-
-
 def _repetition_trajectory(frame: OperatingFrame, u_op: np.ndarray, qubit: int,
                            psi0: np.ndarray, n_reps: int) -> np.ndarray:
-    out = np.empty((n_reps + 1, 3))
-    psi = psi0.copy()
-    out[0] = _bloch_of(frame, qubit, psi)
-    for n in range(1, n_reps + 1):
-        psi = u_op @ psi
-        out[n] = _bloch_of(frame, qubit, psi)
-    return out
+    states = [psi0]
+    for _ in range(n_reps):
+        states.append(u_op @ states[-1])
+    return _bloch_trajectory(frame, qubit, states)
 
 
 def _canonical_rotation(v: np.ndarray, desired: np.ndarray) -> np.ndarray:
@@ -396,15 +360,12 @@ def _fit_gate_rotation(frame: OperatingFrame, u_op: np.ndarray, control: int,
         for axis in ("z", "x")]
 
     def residual(params):
-        from .pulse import _rotation_model
         parts = [(_rotation_model(params, times, traj[0]) - traj).ravel()
                  for traj in trajs]
         return np.concatenate(parts)
 
-    seeds = [desired / TWO_PI]
-    from .pulse import _rotation_seed
-    seeds.append(_rotation_seed(times, trajs[0]))
-    seeds.append(_rotation_seed(times, trajs[1]))
+    seeds = [desired / TWO_PI, _rotation_seed(times, trajs[0]),
+             _rotation_seed(times, trajs[1])]
     best = None
     for seed in seeds:
         sol = scipy.optimize.least_squares(residual, seed, method="lm",
@@ -673,8 +634,6 @@ def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
     resolving the short-time slope.  Used where mixed tone frequencies make
     the single-frame spectrum unavailable.
     """
-    from .pulse import _DriveTerm, _evolve
-
     frame = OperatingFrame(system)
     terms = [_DriveTerm(target=t.target, start=0.0, envelope=None,
                         amplitude=t.amplitude, phase=t.phase,

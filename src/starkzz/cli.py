@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -178,24 +180,21 @@ def _parse_axis(spec: str):
 
 
 def _apply_axis_value(doc: dict, path: str, value: float) -> dict:
-    if path == "drives.scale":
-        out = json.loads(json.dumps(doc))
-        for d in out.get("drives", []):
-            d["amplitude"] *= value
-        return out
-    if path == "drives.frequency":
-        out = json.loads(json.dumps(doc))
-        for d in out.get("drives", []):
-            d["frequency"] = value
-        return out
+    if path not in ("drives.scale", "drives.frequency", "drives.phase_difference"):
+        return apply_override(doc, f"{path}={value!r}")
+    out = copy.deepcopy(doc)
+    drives = out.get("drives", [])
     if path == "drives.phase_difference":
-        out = json.loads(json.dumps(doc))
-        drives = out.get("drives", [])
         if len(drives) < 2:
             raise ConfigError("phase_difference axis needs two drives", path)
         drives[0]["phase"] = drives[1]["phase"] + value
-        return out
-    return apply_override(doc, f"{path}={value!r}")
+    elif path == "drives.scale":
+        for d in drives:
+            d["amplitude"] *= value
+    else:
+        for d in drives:
+            d["frequency"] = value
+    return out
 
 
 def cmd_sweep(args) -> int:
@@ -284,9 +283,8 @@ def cmd_zx(args) -> int:
                                                 control, target, dt=dt)
                     tomo = rates["ZX"]
                 inputs = _perturbative_inputs(variant, q0, q1)
-                from dataclasses import replace as dc_replace
                 pert = float(zx_with_cancellation(
-                    dc_replace(inputs, omega_cr=float(omega)), cr_on=control))
+                    replace(inputs, omega_cr=float(omega)), cr_on=control))
                 row.extend([tomo, pert, ""])
             except StarkZZError as exc:
                 row.extend([float("nan"), float("nan"),

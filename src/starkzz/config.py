@@ -10,10 +10,12 @@ coupler pair, and a seven-qubit chain.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import importlib.resources
 import json
 import math
+from dataclasses import replace
 
 from .errors import ConfigError
 from .operators import (CouplingKind, CouplingSpec, DriveRole, DriveTone,
@@ -95,12 +97,22 @@ def validate_config(document: dict) -> dict:
     return doc
 
 
+@functools.lru_cache(maxsize=128)
+def _bare_transmons(measured: SystemSpec) -> tuple[TransmonSpec, ...]:
+    """Bare transmons of an undriven system whose transmons hold measured values."""
+    return fit_bare_transmons(measured,
+                              [t.frequency for t in measured.transmons],
+                              [t.anharmonicity for t in measured.transmons]).transmons
+
+
 def to_system(document: dict) -> SystemSpec:
     """Build the SystemSpec from a validated config document.
 
     When `frequencies_are_dressed` is set, the listed frequencies and
     anharmonicities are measured (coupling-dressed) values; the bare
-    parameters are fit numerically before assembly.
+    parameters are fit numerically before assembly.  The fit ignores
+    drives, so it is memoised on the undriven system: a sweep that edits
+    only drives fits once.
     """
     doc = validate_config(document)
     try:
@@ -130,9 +142,7 @@ def to_system(document: dict) -> SystemSpec:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     if doc["frequencies_are_dressed"]:
-        measured_f = [t["frequency"] for t in doc["transmons"]]
-        measured_a = [t["anharmonicity"] for t in doc["transmons"]]
-        system = fit_bare_transmons(system, measured_f, measured_a)
+        system = replace(system, transmons=_bare_transmons(system.without_drives()))
     return system
 
 

@@ -7,13 +7,23 @@ Conventions used throughout the package:
 * Transmons are Duffing oscillators.  Bus resonators are harmonic modes
   appended after the transmons in the tensor-product ordering, in the order
   their couplings are declared.
+
+For one tensor layout (`SystemSpec.dims`) the Hamiltonian's structure never
+changes, only its coefficients: H = D + sum_k c_k O_k, with D diagonal.
+`mode_operators` caches, per `dims`, each mode's embedded sparse ladder
+operators and the occupation-number grid.  Every builder evaluates D (Duffing
+and bus energies) from the occupations and adds the coupling and drive
+terms as coefficients times products of the cached operators.  The
+dressed-to-bare parameter fit that measured devices need is memoised per
+undriven system in `config.to_system`, so drive-only sweeps fit once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -212,26 +222,6 @@ def ladder_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return lowering, lowering.conj().T
 
 
-def number_op(levels: int) -> np.ndarray:
-    return np.diag(np.arange(levels, dtype=float)).astype(complex)
-
-
-def embed(op: np.ndarray, slot: int, dims: list[int] | tuple[int, ...]) -> np.ndarray:
-    """Embed a single-mode operator into the tensor product of all modes.
-
-    Returns I (x) ... (x) op (x) ... (x) I with `op` at position `slot`.
-    Mode 0 is the most significant tensor factor.
-    """
-    if not (0 <= slot < len(dims)):
-        raise ValueError(f"slot {slot} out of range for {len(dims)} modes")
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(f"operator shape {op.shape} does not match dims[{slot}]={dims[slot]}")
-    left = int(np.prod(dims[:slot], dtype=np.int64)) if slot else 1
-    right = int(np.prod(dims[slot + 1:], dtype=np.int64)) if slot + 1 < len(dims) else 1
-    out = np.kron(np.kron(np.eye(left), np.asarray(op, dtype=complex)), np.eye(right))
-    return out
-
-
 def is_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     norm = np.linalg.norm(h)
     if norm == 0:
@@ -239,68 +229,108 @@ def is_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return np.linalg.norm(h - h.conj().T) / norm < tol
 
 
-def _duffing_diagonal(t: TransmonSpec, frame_frequency: float = 0.0) -> np.ndarray:
-    n = np.arange(t.levels, dtype=float)
-    return (t.frequency - frame_frequency) * n + 0.5 * t.anharmonicity * n * (n - 1.0)
+# ---------------------------------------------------------------------------
+# basis labels and the cached operators of one tensor layout
+
+def basis_label(n_modes: int, occupations: dict[int, int] | None = None) -> tuple[int, ...]:
+    """Bare occupation tuple: every mode empty except `occupations[mode]`."""
+    label = [0] * n_modes
+    for mode, n in (occupations or {}).items():
+        label[mode] = n
+    return tuple(label)
 
 
-def _kron_chain(factors) -> scipy.sparse.csr_matrix:
-    out = None
-    for f in factors:
-        out = f if out is None else scipy.sparse.kron(out, f, format="csr")
-    return out.tocsr()
+def computational_labels(n_modes: int, q0: int, q1: int) -> list[tuple[int, ...]]:
+    """Labels of the pair's computational states, ordered 00, 01, 10, 11."""
+    return [basis_label(n_modes, {q0: b0, q1: b1}) for b0 in (0, 1) for b1 in (0, 1)]
 
 
-class _SparseBuilder:
-    """Accumulates multi-mode operator terms as sparse matrices."""
+def bare_index(label, dims) -> int:
+    """Basis index of an occupation tuple (mode 0 most significant).
 
-    def __init__(self, dims):
-        self.dims = tuple(dims)
-        self.eyes = [scipy.sparse.identity(d, format="csr") for d in self.dims]
-        self.terms = []
-
-    def add_single(self, slot: int, op):
-        factors = list(self.eyes)
-        factors[slot] = scipy.sparse.csr_matrix(op)
-        self.terms.append(_kron_chain(factors))
-
-    def add_product(self, slot_a: int, op_a, slot_b: int, op_b, coefficient):
-        factors = list(self.eyes)
-        factors[slot_a] = scipy.sparse.csr_matrix(op_a)
-        factors[slot_b] = scipy.sparse.csr_matrix(op_b)
-        self.terms.append(coefficient * _kron_chain(factors))
-
-    def result(self) -> scipy.sparse.csr_matrix:
-        dim = math.prod(self.dims)
-        if not self.terms:
-            return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
-        return sum(self.terms).astype(complex)
+    Raises ValueError for a label of the wrong length or out of range.
+    """
+    return int(np.ravel_multi_index(tuple(label), dims))
 
 
-def build_static_hamiltonian_sparse(system: SystemSpec) -> scipy.sparse.csr_matrix:
-    """Sparse lab-frame Hamiltonian with full coupling terms (drives ignored)."""
-    dims = system.dims
-    builder = _SparseBuilder(dims)
+def index_to_label(idx: int, dims) -> tuple[int, ...]:
+    """Occupation tuple of a basis index; inverse of bare_index."""
+    return tuple(int(n) for n in np.unravel_index(idx, dims))
 
-    for i, t in enumerate(system.transmons):
-        builder.add_single(i, np.diag(_duffing_diagonal(t)))
 
-    def x_mat(slot: int) -> np.ndarray:
-        a, adag = ladder_ops(dims[slot])
-        return a + adag
+@functools.lru_cache(maxsize=16)
+def mode_operators(dims: tuple[int, ...]):
+    """Read-only operators of one tensor layout, cached per `dims`.
+
+    Returns (occupations, lowering, raising): `occupations[m, k]` is mode
+    m's occupation in basis state k, and `lowering[m]`/`raising[m]` are
+    mode m's ladder operators embedded in the full space as sparse CSR.
+    """
+    if any(d < 2 for d in dims):
+        raise ValueError(f"every mode needs >= 2 levels, got {dims}")
+    occupations = np.indices(dims).reshape(len(dims), -1)
+    dim = occupations.shape[1]
+    lowering, raising = [], []
+    stride = dim
+    for n, levels in zip(occupations, dims):
+        stride //= levels
+        upper = np.flatnonzero(n)  # states with the mode occupied
+        data = np.sqrt(n[upper]).astype(complex)
+        lowering.append(scipy.sparse.csr_matrix((data, (upper - stride, upper)), (dim, dim)))
+        raising.append(scipy.sparse.csr_matrix((data, (upper, upper - stride)), (dim, dim)))
+    occupations.flags.writeable = False
+    for matrix in lowering + raising:
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            array.flags.writeable = False
+    return occupations, tuple(lowering), tuple(raising)
+
+
+def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.sparse.csr_matrix:
+    """Diagonal (Duffing and bus energies) plus the coupling and drive terms.
+
+    Terms are added one at a time in declaration order; that order fixes
+    the rounding of every entry, and with it every downstream output.
+    """
+    occupations, a, adag = mode_operators(system.dims)
+    diagonal = np.zeros(occupations.shape[1])
+    for t, n in zip(system.transmons, occupations):
+        levels = np.arange(t.levels, dtype=float)
+        diagonal = diagonal + ((t.frequency - frame_frequency) * levels
+                               + 0.5 * t.anharmonicity * levels * (levels - 1.0))[n]
+    terms = []
+
+    def couple(p: int, q: int, g: float):
+        if rwa:
+            terms.extend((g * (adag[p] @ a[q]), g * (a[p] @ adag[q])))
+        else:
+            terms.append(g * ((a[p] + adag[p]) @ (a[q] + adag[q])))
 
     bus_slot = system.num_transmons
     for c in system.couplings:
         p, q = c.endpoints
         if c.kind is CouplingKind.DIRECT:
-            builder.add_product(p, x_mat(p), q, x_mat(q), c.strength)
+            couple(p, q, c.strength)
         else:
-            builder.add_single(bus_slot, c.bus_frequency * number_op(c.bus_levels))
+            diagonal = diagonal + (c.bus_frequency - frame_frequency) * occupations[bus_slot]
             for endpoint, g in zip((p, q), c.bus_couplings):
-                builder.add_product(endpoint, x_mat(endpoint), bus_slot,
-                                    x_mat(bus_slot), g)
+                couple(endpoint, bus_slot, g)
             bus_slot += 1
-    return builder.result()
+
+    if rwa:
+        for d in system.drives:
+            half = 0.5 * d.amplitude
+            terms.append(half * np.exp(1j * d.phase) * adag[d.target]
+                         + half * np.exp(-1j * d.phase) * a[d.target])
+    h = scipy.sparse.diags(diagonal.astype(complex), format="csr")
+    for term in terms:
+        h = h + term
+    h.sort_indices()
+    return h
+
+
+def build_static_hamiltonian_sparse(system: SystemSpec) -> scipy.sparse.csr_matrix:
+    """Sparse lab-frame Hamiltonian with full coupling terms (drives ignored)."""
+    return _build(system, 0.0, rwa=False)
 
 
 def build_static_hamiltonian(system: SystemSpec) -> np.ndarray:
@@ -320,39 +350,7 @@ def build_rwa_hamiltonian_sparse(system: SystemSpec,
     if offending:
         raise MultiFrequencyFrameError(
             f"drives at {offending} GHz do not match frame {frame_frequency} GHz")
-
-    dims = system.dims
-    builder = _SparseBuilder(dims)
-
-    for i, t in enumerate(system.transmons):
-        builder.add_single(i, np.diag(_duffing_diagonal(t, frame_frequency)))
-
-    def a_mat(slot: int) -> np.ndarray:
-        return ladder_ops(dims[slot])[0]
-
-    def add_exchange(p: int, q: int, g: float):
-        builder.add_product(p, a_mat(p).conj().T, q, a_mat(q), g)
-        builder.add_product(p, a_mat(p), q, a_mat(q).conj().T, g)
-
-    bus_slot = system.num_transmons
-    for c in system.couplings:
-        p, q = c.endpoints
-        if c.kind is CouplingKind.DIRECT:
-            add_exchange(p, q, c.strength)
-        else:
-            builder.add_single(
-                bus_slot, (c.bus_frequency - frame_frequency) * number_op(c.bus_levels))
-            for endpoint, g in zip((p, q), c.bus_couplings):
-                add_exchange(endpoint, bus_slot, g)
-            bus_slot += 1
-
-    for d in system.drives:
-        half = 0.5 * d.amplitude
-        a = a_mat(d.target)
-        builder.add_single(d.target,
-                           half * np.exp(1j * d.phase) * a.conj().T
-                           + half * np.exp(-1j * d.phase) * a)
-    return builder.result()
+    return _build(system, frame_frequency, rwa=True)
 
 
 def build_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> np.ndarray:

@@ -16,11 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .errors import StepSizeError, TomographyFitError
-from .operators import (DriveRole, SystemSpec, build_rwa_hamiltonian, embed,
-                        ladder_ops, number_op)
-from .spectrum import _assign_labels, _bare_index, _index_to_label
+from .operators import (DriveRole, SystemSpec, bare_index, basis_label,
+                        build_rwa_hamiltonian, computational_labels,
+                        index_to_label, mode_operators)
+from .perturbation import PerturbativeInputs, zx_with_cancellation
+from .spectrum import assign_labels
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,36 +266,34 @@ class OperatingFrame:
 
         self.h_static = build_rwa_hamiltonian(system, self.frame_frequency)
         vals, vecs = np.linalg.eigh(self.h_static)
-        bare_of_eig = _assign_labels(vecs)
+        bare_of_eig = assign_labels(vecs)
         order = np.argsort(bare_of_eig)
-        self.labels = tuple(_index_to_label(bare_of_eig[k], self.dims) for k in order)
+        self.labels = tuple(index_to_label(bare_of_eig[k], self.dims) for k in order)
         self.energies = vals[order].copy()
         basis = vecs[:, order].copy()  # columns ordered by bare index
         # Gauge fix: make each dressed state's own bare component real and
         # positive, so conditional phases and rotation senses are consistent
         # across labels (the raw eigensolver phase is arbitrary per column).
-        anchors = np.array([basis[_bare_index(lab, self.dims), k]
+        anchors = np.array([basis[bare_index(lab, self.dims), k]
                             for k, lab in enumerate(self.labels)])
         phases = anchors / np.abs(anchors)
         self.basis = basis * phases.conj()[None, :]
 
-        ground = (0,) * len(self.dims)
-        e0 = self.energies[self._label_pos(ground)]
+        n_modes = len(self.dims)
+        e0 = self.energies[self._label_pos(basis_label(n_modes))]
         self.eps = np.array([
-            self.energies[self._label_pos(tuple(1 if m == k else 0
-                                                for m in range(len(self.dims))))] - e0
-            for k in range(len(self.dims))])
+            self.energies[self._label_pos(basis_label(n_modes, {k: 1}))] - e0
+            for k in range(n_modes)])
         # Per-label operating-frame rate, ground energy included so that an
         # ideal idle maps to the identity with no global phase.
         self.frame_rates = np.array([
             e0 + sum(e * n for e, n in zip(self.eps, label)) for label in self.labels])
 
-        a_ops = [ladder_ops(d)[0] for d in self.dims]
-        self.lowering = [embed(a_ops[m], m, self.dims) for m in range(len(self.dims))]
-        self.number = [embed(number_op(d), m, self.dims) for m, d in enumerate(self.dims)]
+        _, lowering, _ = mode_operators(self.dims)
+        self.lowering = [a.toarray() for a in lowering]
 
     def _label_pos(self, label) -> int:
-        return _bare_index(label, self.dims)
+        return bare_index(label, self.dims)
 
     def dressed_frequency(self, mode: int) -> float:
         """Dressed operating frequency of a mode in lab terms (GHz)."""
@@ -302,13 +303,8 @@ class OperatingFrame:
         return self.basis[:, self._label_pos(label)].copy()
 
     def computational_indices(self, q0: int, q1: int) -> list[int]:
-        n_modes = len(self.dims)
-        out = []
-        for b0, b1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            label = [0] * n_modes
-            label[q0], label[q1] = b0, b1
-            out.append(self._label_pos(tuple(label)))
-        return out
+        return [self._label_pos(label)
+                for label in computational_labels(len(self.dims), q0, q1)]
 
     def static_step(self, span: float) -> np.ndarray:
         """Exact propagator of the static Hamiltonian over `span` ns."""
@@ -573,8 +569,6 @@ def _rotation_seed(times, trajectory):
 
 def _fit_rotation(times, trajectory, extra_seeds=()):
     """Least-squares single-axis-rotation fit, Procrustes-seeded."""
-    import scipy.optimize
-
     r0 = trajectory[0]
 
     def residual(params):
@@ -593,12 +587,11 @@ def _fit_rotation(times, trajectory, extra_seeds=()):
     return best.x, rel_resid
 
 
-def _bloch_trajectory(frame: OperatingFrame, qubit: int, amplitudes, times):
-    """Bloch components of one qubit from dressed-basis amplitude snapshots."""
+def _bloch_trajectory(frame: OperatingFrame, qubit: int, amplitudes) -> np.ndarray:
+    """Bloch vectors of one qubit, one row per dressed-basis amplitude vector."""
     idx0, idx1 = frame.qubit_pairings(qubit)
-    out = np.empty((len(times), 3))
-    for k, (t, amp) in enumerate(zip(times, amplitudes)):
-        a = frame.operating_phases(t) * amp
+    out = np.empty((len(amplitudes), 3))
+    for k, a in enumerate(amplitudes):
         cross = np.vdot(a[idx0], a[idx1])  # sum conj(a0) a1
         out[k, 0] = 2.0 * cross.real
         out[k, 1] = 2.0 * cross.imag
@@ -629,7 +622,6 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
                       detuning=cr_frequency - frame.frame_frequency)
 
     # Pilot rate guess from the perturbative conditional rate plus a floor.
-    from .perturbation import PerturbativeInputs, zx_with_cancellation
     t_c, t_t = system.transmons[control], system.transmons[target]
     j_total = sum(abs(c.strength) for c in system.couplings
                   if c.strength is not None) or 1e-3
@@ -642,11 +634,7 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
         omega_cr=cr_amplitude, nu_d=cw[0].frequency if cw else cr_frequency)
     rate_guess = max(abs(float(zx_with_cancellation(guess_inputs))), 2e-4)
 
-    prep_labels = []
-    for control_state in (0, 1):
-        label = [0] * len(frame.dims)
-        label[control] = control_state
-        prep_labels.append(tuple(label))
+    prep_labels = [basis_label(len(frame.dims), {control: s}) for s in (0, 1)]
 
     for _ in range(3):
         t_max = 2.0 / rate_guess
@@ -655,8 +643,9 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
         fitted, residuals = [], []
         for label in prep_labels:
             psi0 = frame.dressed_state(label)
-            amps = [frame.basis.conj().T @ (u @ psi0) for u in snaps]
-            traj = _bloch_trajectory(frame, target, amps, times)
+            amps = [frame.operating_phases(t) * (frame.basis.conj().T @ (u @ psi0))
+                    for u, t in zip(snaps, times)]
+            traj = _bloch_trajectory(frame, target, amps)
             extra = [np.array([s * rate_guess, 0.0, 0.0]) for s in (1.0, -1.0)]
             params, rel = _fit_rotation(times, traj, extra)
             fitted.append(params)
@@ -683,8 +672,9 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
     # follows the same Pauli normalization.
     psi0 = (frame.dressed_state(prep_labels[0])
             + frame.dressed_state(prep_labels[1])) / math.sqrt(2.0)
-    amps = [frame.basis.conj().T @ (u @ psi0) for u in snaps]
-    traj = _bloch_trajectory(frame, control, amps, times)
+    amps = [frame.operating_phases(t) * (frame.basis.conj().T @ (u @ psi0))
+            for u, t in zip(snaps, times)]
+    traj = _bloch_trajectory(frame, control, amps)
     extra = [np.array([0.0, 0.0, z]) for z in (rates["ZZ"], -rates["ZZ"])]
     params, _ = _fit_rotation(times, traj, extra)
     rates["ZI"] = params[2] - rates["ZZ"]

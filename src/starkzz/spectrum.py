@@ -20,8 +20,10 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import MissingLabelError, NonPerturbativeRegimeError
-from .operators import (DriveRole, DriveTone, SystemSpec, build_rwa_hamiltonian,
-                        build_static_hamiltonian, direct_coupling, is_hermitian)
+from .operators import (DriveTone, SystemSpec, bare_index, basis_label,
+                        build_rwa_hamiltonian, build_static_hamiltonian,
+                        computational_labels, direct_coupling, index_to_label,
+                        is_hermitian)
 
 #: Below this overlap an assignment is considered ambiguous and flagged.
 AMBIGUOUS_OVERLAP = 0.5
@@ -50,11 +52,10 @@ class LabeledSpectrum:
                      if ov < AMBIGUOUS_OVERLAP)
 
     def _index(self, label) -> int:
-        label = tuple(label)
-        try:
-            return self.labels.index(label)
+        try:  # labels are stored in bare-index order, one per basis state
+            return bare_index(label, self.dims)
         except ValueError:
-            raise MissingLabelError(f"label {label} not present in spectrum") from None
+            raise MissingLabelError(f"label {tuple(label)} not present in spectrum") from None
 
     def energy(self, label) -> float:
         """Frame energy of the eigenstate assigned to `label`."""
@@ -68,23 +69,7 @@ class LabeledSpectrum:
         return float(self.overlaps[self._index(label)])
 
 
-def _bare_index(label, dims) -> int:
-    idx = 0
-    for n, d in zip(label, dims):
-        idx = idx * d + n
-    return idx
-
-
-def _index_to_label(idx: int, dims) -> tuple[int, ...]:
-    label = []
-    idx = int(idx)
-    for d in reversed(dims):
-        label.append(idx % d)
-        idx //= d
-    return tuple(reversed(label))
-
-
-def _assign_labels(vecs: np.ndarray) -> np.ndarray:
+def assign_labels(vecs: np.ndarray) -> np.ndarray:
     """Map each eigenvector to a bare basis index, bijectively.
 
     Greedy per-eigenvector argmax is used when it already yields a
@@ -114,10 +99,10 @@ def labeled_spectrum(h: np.ndarray, dims, frame_frequency: float = 0.0) -> Label
     if not is_hermitian(h, tol=1e-10):
         raise ValueError("labeled_spectrum requires a Hermitian matrix")
     vals, vecs = scipy.linalg.eigh(h)
-    bare_of_eig = _assign_labels(vecs)
+    bare_of_eig = assign_labels(vecs)
 
     order = np.argsort(bare_of_eig)  # present labels in bare-index order
-    labels = tuple(_index_to_label(bare_of_eig[k], dims) for k in order)
+    labels = tuple(index_to_label(bare_of_eig[k], dims) for k in order)
     energies = vals[order].copy()
     overlaps = np.array([np.abs(vecs[bare_of_eig[k], k]) ** 2 for k in order])
     return LabeledSpectrum(labels=labels, energies=energies, overlaps=overlaps,
@@ -142,17 +127,6 @@ class PairRates:
     stark_shift_q1: float = 0.0
 
 
-def _computational_labels(dims, q0: int, q1: int):
-    n_modes = len(dims)
-    out = []
-    for b0, b1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        label = [0] * n_modes
-        label[q0] = b0
-        label[q1] = b1
-        out.append(tuple(label))
-    return out  # order: 00, 01, 10, 11
-
-
 def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
                reference: LabeledSpectrum | None = None) -> PairRates:
     """Extract zz, zi, iz (and Stark shifts) for the (q0, q1) pair.
@@ -160,7 +134,7 @@ def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
     Energies are compared after restoring each label's frame offset, so
     spectra taken in different rotating frames combine consistently.
     """
-    l00, l01, l10, l11 = _computational_labels(spec.dims, q0, q1)
+    l00, l01, l10, l11 = computational_labels(len(spec.dims), q0, q1)
     shaky = [l for l in (l00, l01, l10, l11) if spec.overlap(l) < AMBIGUOUS_OVERLAP]
     if shaky:
         warnings.warn(f"ambiguous computational labels (overlap < {AMBIGUOUS_OVERLAP}): "
@@ -348,7 +322,7 @@ def targeted_label_energies(h_sparse, dims, labels,
     out = {}
     for label in labels:
         label = tuple(label)
-        idx = _bare_index(label, dims)
+        idx = bare_index(label, dims)
         v0 = np.zeros(dim, dtype=complex)
         v0[idx] = 1.0
         k = min(num_candidates, dim - 2)
@@ -399,15 +373,12 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
         raise ValueError("one measured frequency and anharmonicity required per transmon")
 
     def dressed_observables(spec: LabeledSpectrum):
-        dims = spec.dims
-        ground = (0,) * len(dims)
-        e0 = spec.lab_energy(ground)
+        n_modes = len(spec.dims)
+        e0 = spec.lab_energy(basis_label(n_modes))
         nus, alphas = [], []
         for i in range(n):
-            one = list(ground); one[i] = 1
-            two = list(ground); two[i] = 2
-            e1 = spec.lab_energy(tuple(one))
-            e2 = spec.lab_energy(tuple(two))
+            e1 = spec.lab_energy(basis_label(n_modes, {i: 1}))
+            e2 = spec.lab_energy(basis_label(n_modes, {i: 2}))
             nus.append(e1 - e0)
             alphas.append(e2 - 2.0 * e1 + e0)
         return np.asarray(nus), np.asarray(alphas)

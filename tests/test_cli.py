@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from starkzz import config
 from starkzz.cli import main
 from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
 from starkzz.errors import ConfigError
+from starkzz.spectrum import driven_pair_rates, fit_bare_transmons
 
 
 def read_rows(path):
@@ -132,7 +134,7 @@ class TestSweepCommand:
         assert code == 0
         header, rows = read_rows(out)
         errors = [r[header.index("error")] for r in rows]
-        assert errors[0] != ""
+        assert errors[0].startswith("ConfigError: amplitude must be >= 0")
         assert errors[-1] == ""
         assert math.isnan(float(rows[0][header.index("zz_numeric")]))
 
@@ -149,6 +151,52 @@ class TestSweepCommand:
         assert firsts == sorted(firsts)
         assert seconds[:3] == sorted(seconds[:3])
         assert len(rows) == 6
+
+
+class TestBareFitMemo:
+    """Sweeps refit bare parameters only when a point's transmons change."""
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+
+        def counting(system, frequencies, anharmonicities):
+            calls.append(tuple(frequencies))
+            return fit_bare_transmons(system, frequencies, anharmonicities)
+
+        config._bare_transmons.cache_clear()
+        monkeypatch.setattr(config, "fit_bare_transmons", counting)
+        yield calls
+        config._bare_transmons.cache_clear()
+
+    @pytest.mark.parametrize("axes", [
+        ["drives.phase_difference:0:6.283185307179586:5"],
+        ["drives.0.amplitude:0:0.06:3", "drives.1.amplitude:0:0.06:3"],
+    ])
+    def test_drive_only_sweep_fits_once(self, tmp_path, fit_calls, axes):
+        argv = ["sweep", "--preset", "device-a", "--out", str(tmp_path / "s.csv")]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 0
+        assert len(fit_calls) == 1
+
+    def test_transmon_axis_refits_each_point(self, tmp_path, fit_calls):
+        out = tmp_path / "freq.csv"
+        assert main(["sweep", "--preset", "device-a", "--out", str(out),
+                     "--axis", "transmons.0.frequency:4.95:4.97:3"]) == 0
+        header, rows = read_rows(out)
+        values = [float(r[0]) for r in rows]
+        doc = load_preset("device-a")
+        assert len(fit_calls) == len({doc["transmons"][0]["frequency"], *values})
+
+        doc["frequencies_are_dressed"] = False
+        for value, row in zip(values, rows):
+            measured = to_system(apply_override(doc, f"transmons.0.frequency={value!r}"))
+            fresh = fit_bare_transmons(
+                measured, [t.frequency for t in measured.transmons],
+                [t.anharmonicity for t in measured.transmons])
+            zz = driven_pair_rates(fresh, *doc["pair"]).zz
+            assert row[header.index("zz_numeric")] == f"{zz:.12g}"
 
 
 class TestCalibrateCommand:

@@ -7,7 +7,16 @@ from starkzz.errors import DimensionCapError, MultiFrequencyFrameError
 from starkzz.operators import (CouplingKind, CouplingSpec, DriveTone, SystemSpec,
                                TransmonSpec, build_rwa_hamiltonian,
                                build_static_hamiltonian, bus_coupling,
-                               direct_coupling, embed, is_hermitian, ladder_ops)
+                               direct_coupling, is_hermitian, ladder_ops,
+                               mode_operators)
+
+
+def kron_embed(op, slot, dims):
+    """Explicit I (x) ... (x) op (x) ... (x) I with op at `slot`."""
+    out = np.eye(1)
+    for m, d in enumerate(dims):
+        out = np.kron(out, op if m == slot else np.eye(d))
+    return out
 
 
 def two_transmon_system(nu0=4.96, nu1=5.016, al0=-0.283, al1=-0.287,
@@ -41,27 +50,44 @@ class TestLadderOps:
 
 
 class TestEmbed:
-    def test_first_slot_is_left_kron_factor(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(embed(x, 0, [2, 2]), np.kron(x, np.eye(2)))
-        assert np.allclose(embed(x, 1, [2, 2]), np.kron(np.eye(2), x))
+    """Mode embedding as done by the cached per-layout operators."""
 
-    def test_identity_embeds_to_identity(self):
-        dims = [2, 3, 4]
+    def test_first_slot_is_left_kron_factor(self):
+        a, adag = ladder_ops(2)
+        _, lowering, raising = mode_operators((2, 2))
+        assert np.array_equal(lowering[0].toarray(), np.kron(a, np.eye(2)))
+        assert np.array_equal(lowering[1].toarray(), np.kron(np.eye(2), a))
+        assert np.array_equal(raising[0].toarray(), np.kron(adag, np.eye(2)))
+
+    def test_number_embeds_to_occupations(self):
+        dims = (2, 3, 4)
+        occupations, lowering, raising = mode_operators(dims)
         for slot, d in enumerate(dims):
-            assert np.allclose(embed(np.eye(d), slot, dims), np.eye(24))
+            number = np.diag(np.arange(d, dtype=float))
+            assert np.array_equal(np.diag(occupations[slot]), kron_embed(number, slot, dims))
+            product = (raising[slot] @ lowering[slot]).toarray()
+            assert np.allclose(product, np.diag(occupations[slot]), atol=1e-14)
 
     def test_disjoint_slots_commute(self):
-        a, _ = ladder_ops(3)
-        a0 = embed(a, 0, [3, 3])
-        a1 = embed(a, 1, [3, 3])
-        assert np.allclose(a0 @ a1 - a1 @ a0, 0)
+        _, (a0, a1), (_, a1dag) = mode_operators((3, 3))
+        assert np.allclose((a0 @ a1 - a1 @ a0).toarray(), 0)
+        assert np.allclose((a0 @ a1dag - a1dag @ a0).toarray(), 0)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            embed(np.eye(2), 2, [2, 2])
-        with pytest.raises(ValueError):
-            embed(np.eye(3), 0, [2, 2])
+            mode_operators((2, 1))
+
+    def test_cached_per_dims_and_read_only(self):
+        ops = mode_operators((3, 2))
+        assert mode_operators((3, 2)) is ops
+        occupations, lowering, raising = ops
+        arrays = [occupations]
+        for matrix in lowering + raising:
+            arrays += [matrix.data, matrix.indices, matrix.indptr]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestSpecValidation:
@@ -168,6 +194,55 @@ class TestStaticHamiltonian:
                                     oracle[idx(n0, mq, mb), i] += g * wq * wb
         assert h.shape == oracle.shape == (dim, dim)
         assert np.allclose(h, oracle, atol=1e-14)
+
+
+class TestCachedBuilders:
+    """Builders from cached terms against an explicit np.kron oracle."""
+
+    NU = (4.85, 4.95)
+    ALPHA = (-0.29, -0.31)
+    J, G, NU_B = 0.0106, (0.135, 0.12), 6.35
+    DIMS = (4, 3, 3)
+    DRIVES = (DriveTone(0, 0.04, 5.1, 0.3), DriveTone(1, 0.02, 5.1, 2.0))
+
+    def system(self):
+        return SystemSpec(
+            transmons=tuple(TransmonSpec(nu, al, lv) for nu, al, lv
+                            in zip(self.NU, self.ALPHA, self.DIMS)),
+            couplings=(direct_coupling(0, 1, self.J),
+                       bus_coupling(0, 1, self.NU_B, self.G, self.DIMS[2])),
+            drives=self.DRIVES)
+
+    def oracle(self, frame, rwa):
+        dims = self.DIMS
+        a = [kron_embed(ladder_ops(d)[0], m, dims) for m, d in enumerate(dims)]
+        adag = [op.conj().T for op in a]
+        number = [kron_embed(np.diag(np.arange(d, dtype=float)), m, dims)
+                  for m, d in enumerate(dims)]
+        h = (self.NU_B - frame) * number[2]
+        for m in (0, 1):
+            n = number[m]
+            h = h + (self.NU[m] - frame) * n + 0.5 * self.ALPHA[m] * n @ (n - np.eye(len(n)))
+
+        def coupling(p, q, g):
+            if rwa:
+                return g * (adag[p] @ a[q] + a[p] @ adag[q])
+            return g * (a[p] + adag[p]) @ (a[q] + adag[q])
+
+        h = h + coupling(0, 1, self.J) + coupling(0, 2, self.G[0]) + coupling(1, 2, self.G[1])
+        if rwa:
+            for d in self.DRIVES:
+                h = h + 0.5 * d.amplitude * (np.exp(1j * d.phase) * adag[d.target]
+                                             + np.exp(-1j * d.phase) * a[d.target])
+        return h
+
+    def test_static_matches_kron_oracle(self):
+        h = build_static_hamiltonian(self.system())
+        np.testing.assert_allclose(h, self.oracle(0.0, rwa=False), rtol=0, atol=1e-13)
+
+    def test_rwa_matches_kron_oracle(self):
+        h = build_rwa_hamiltonian(self.system(), 5.1)
+        np.testing.assert_allclose(h, self.oracle(5.1, rwa=True), rtol=0, atol=1e-13)
 
 
 class TestRwaHamiltonian:

@@ -61,6 +61,13 @@ class TestLabeledSpectrum:
         with pytest.raises(MissingLabelError):
             spec.energy((5,))
 
+    def test_index_is_bare_index(self, device_a):
+        spec = static_spectrum(device_a)
+        assert [spec._index(label) for label in spec.labels] == list(range(len(spec.labels)))
+        for absent in ((0,), (0, 0, 0), (-1, 0), (0, 5)):
+            with pytest.raises(MissingLabelError):
+                spec.energy(absent)
+
 
 class TestPairRates:
     def test_static_zz_device_a(self, device_a):
