@@ -23,8 +23,9 @@ from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
 from .operators import (DriveRole, DriveTone, SystemSpec, basis_label,
                         build_rwa_hamiltonian_sparse, computational_labels)
 from .perturbation import PerturbativeInputs, zx_with_cancellation
-from .pulse import (Envelope, EnvelopeKind, FrameChange, OperatingFrame, Play,
-                    PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
+from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
+                    OperatingFrame, Play, PulseSchedule, GateResult,
+                    _bloch_trajectory, _DriveTerm,
                     _evolve, _fit_rotation, _rotation_model, _rotation_seed,
                     propagate)
 from .spectrum import (driven_pair_rates, labeled_spectrum,
@@ -424,7 +425,7 @@ def cnot_target(control_is_second: bool = True) -> np.ndarray:
 def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
                    target: int = 0, sigma: float = 10.0, rise: float = 2.0,
                    n_reps: int = 17, max_iterations: int = 50,
-                   tolerance: float = ANGLE_TOLERANCE, dt: float = 0.05,
+                   tolerance: float = ANGLE_TOLERANCE, dt: float = DEFAULT_DT,
                    initial: CnotCalibration | None = None) -> CnotCalibration:
     """Iterative direct-CNOT calibration on a ZZ-cancelled system.
 
@@ -598,7 +599,7 @@ def calibrated_cnot_schedule(system: SystemSpec, cal: CnotCalibration,
 
 def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
                      target: int = 0, sigma: float = 10.0, rise: float = 2.0,
-                     dt: float = 0.05) -> GateResult:
+                     dt: float = DEFAULT_DT) -> GateResult:
     """Propagate a calibrated CNOT and score it against the ideal gate."""
     frame = OperatingFrame(system)
     carrier = frame.dressed_frequency(target)
@@ -626,20 +627,23 @@ def _cz_schedule(cal: CzCalibration, control: int, target: int, sigma: float,
 
 
 def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
-                   dt: float = 0.05) -> float:
-    """Time-domain conditional-phase rate under constant extra tones (GHz).
+                   dt: float = DEFAULT_DT, q0: int = 0, q1: int = 1,
+                   frame: OperatingFrame | None = None) -> float:
+    """Time-domain conditional-phase rate of the (q0, q1) pair (GHz).
 
     Propagates the CW-dressed system with the extra tones held at constant
     amplitude and reads the computational diagonal phases at two times,
     resolving the short-time slope.  Used where mixed tone frequencies make
-    the single-frame spectrum unavailable.
+    the single-frame spectrum unavailable.  `frame` defaults to the
+    system's own `OperatingFrame`.
     """
-    frame = OperatingFrame(system)
+    if frame is None:
+        frame = OperatingFrame(system)
     terms = [_DriveTerm(target=t.target, start=0.0, envelope=None,
                         amplitude=t.amplitude, phase=t.phase,
                         detuning=t.frequency - frame.frame_frequency)
              for t in extra_tones]
-    comp = frame.computational_indices(0, 1)
+    comp = frame.computational_indices(q0, q1)
     times = (0.5 * duration, duration)
     _, snaps = _evolve(frame, terms, [], duration, dt, snapshot_times=times)
     phases = []
@@ -656,7 +660,7 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                  gate_amplitude: float, control: int = 1, target: int = 0,
                  sigma: float = 10.0, rise: float = 3.0, n_reps: int = 17,
                  max_iterations: int = 50, tolerance: float = ANGLE_TOLERANCE,
-                 dt: float = 0.05,
+                 dt: float = DEFAULT_DT,
                  initial: CzCalibration | None = None) -> CzCalibration:
     """Iterative conditional-phase gate calibration with pulsed tones.
 
@@ -684,7 +688,8 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                                    role=DriveRole.GATE),
                          DriveTone(target, gate_amplitude, gate_frequency, 0.0,
                                    role=DriveRole.GATE),)
-                rates.append(driven_zz_rate(system, tones, dt=dt))
+                rates.append(driven_zz_rate(system, tones, dt=dt, q0=target,
+                                            q1=control, frame=frame))
             rates = np.array(rates)
             design = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)],
                               axis=1)
@@ -748,16 +753,19 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
             converged = True
             cal.iterations = iteration
             break
+        cap = np.array([0.5 * abs(cal.control_amplitude) + 1e-4, 1.0])
         if jac is None:
             jac = jacobian(cal, residual)
-            if abs(np.linalg.det(jac)) < 1e-12:
+            # Conditional-angle change of one amplitude step at the cap.
+            reach = abs(jac[1, 0] - jac[0, 0]) * cap[0]
+            if reach < tolerance:
                 raise NonconvergenceError(
-                    "CZ angle conditions are insensitive to the gate "
-                    "amplitude (no conditional phase accumulates)",
-                    transcript=cal.transcript)
+                    "CZ conditional angle is insensitive to the gate amplitude "
+                    f"(no conditional phase accumulates): a capped amplitude "
+                    f"step moves it by {reach:.2e} rad, below the {tolerance} "
+                    "rad tolerance", transcript=cal.transcript)
         damping = 0.5 if err > previous_norm else 1.0
         update = np.linalg.solve(jac, residual)
-        cap = np.array([0.5 * abs(cal.control_amplitude) + 1e-4, 1.0])
         update = np.clip(update, -cap, cap)
         set_params(cal, get_params(cal) - damping * update)
         if cal.control_amplitude < 0.0:
@@ -790,7 +798,7 @@ def calibrated_cz_schedule(cal: CzCalibration, control: int = 1, target: int = 0
 
 def cz_gate_result(system: SystemSpec, cal: CzCalibration, control: int = 1,
                    target: int = 0, sigma: float = 10.0, rise: float = 3.0,
-                   dt: float = 0.05) -> GateResult:
+                   dt: float = DEFAULT_DT) -> GateResult:
     """Propagate a calibrated conditional-phase gate and score it vs CZ."""
     frame = OperatingFrame(system)
     sched = _cz_schedule(cal, control, target, sigma, rise)

@@ -36,7 +36,8 @@ from .errors import (CancellationUnreachableError, ConfigError,
 from .operators import DriveTone, SystemSpec
 from .perturbation import (PerturbativeInputs, sizzle_zz, static_zz,
                            zx_with_cancellation)
-from .pulse import OperatingFrame, extract_pauli_rates, schedule_to_document
+from .pulse import (DEFAULT_DT, OperatingFrame, extract_pauli_rates,
+                    schedule_to_document)
 from .spectrum import (driven_pair_rates, pair_rates, static_spectrum,
                        undriven_reference)
 
@@ -439,7 +440,7 @@ def _add_common(parser) -> None:
                         help="override a config entry (dotted path, JSON value)")
     parser.add_argument("--out", help="output path (JSON or CSV by subcommand)")
     parser.add_argument("--levels", type=int, help="override transmon truncation")
-    parser.add_argument("--dt", type=float, default=0.05,
+    parser.add_argument("--dt", type=float, default=DEFAULT_DT,
                         help="propagation step in ns")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for sweep grids")

@@ -81,21 +81,22 @@ class Envelope:
         return (self.duration - 2.0 * self.edge) + 2.0 * edge_area
 
 
-def sample_envelope(envelope: Envelope, t: float) -> tuple[float, float]:
-    """In-phase and quadrature values at time t in [0, duration]."""
-    if not 0.0 <= t <= envelope.duration:
+def sample_envelope(envelope: Envelope, t):
+    """In-phase and quadrature values at time t in [0, duration].
+
+    `t` may be a scalar or an array; the values take its shape.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(t > envelope.duration):
         raise ValueError(f"t={t} outside [0, {envelope.duration}]")
     edge = envelope.edge
     fall_start = envelope.duration - edge
-    if t < edge:
-        arg = (t - edge) / envelope.sigma
-    elif t > fall_start:
-        arg = (t - fall_start) / envelope.sigma
-    else:
-        arg = 0.0
-    in_phase = envelope.amplitude * math.exp(-0.5 * arg * arg)
+    # (t - edge) on the rise, (t - fall_start) on the fall, 0 on the flat top
+    arg = (np.minimum(t - edge, 0.0) + np.maximum(t - fall_start, 0.0)) / envelope.sigma
+    in_phase = envelope.amplitude * np.exp(-0.5 * arg * arg)
     derivative = -(arg / envelope.sigma) * in_phase
-    quadrature = envelope.drag_beta * derivative + envelope.skew_gamma * abs(derivative)
+    quadrature = (envelope.drag_beta * derivative
+                  + envelope.skew_gamma * np.abs(derivative))
     return in_phase, quadrature
 
 
@@ -347,14 +348,13 @@ class _DriveTerm:
     detuning: float                # carrier minus frame frequency
     phase: float
 
-    def coefficient(self, t: float) -> complex:
+    def coefficient(self, t):
+        """Coefficient at time t (scalar or array) within the term's span."""
         if self.envelope is None:
             in_phase, quadrature = self.amplitude, 0.0
         else:
-            tau = t - self.start
-            if tau < 0.0 or tau > self.envelope.duration:
-                return 0.0j
-            in_phase, quadrature = sample_envelope(self.envelope, tau)
+            in_phase, quadrature = sample_envelope(self.envelope,
+                                                   np.asarray(t) - self.start)
         # The raising-operator coefficient co-rotates at (frame - carrier)
         # so a carrier at a mode's dressed lab frequency is resonant.
         return 0.5 * (in_phase + 1j * quadrature) * np.exp(
@@ -366,15 +366,75 @@ class _DriveTerm:
         end = self.start + self.envelope.duration
         return end > t_a + 1e-12 and self.start < t_b - 1e-12
 
+    def flat_in(self, t_a: float, t_b: float) -> bool:
+        """Constant magnitude over [t_a, t_b]: a CW tone or a flat-top middle."""
+        if self.envelope is None:
+            return True
+        edge = self.envelope.edge
+        return (t_a >= self.start + edge - 1e-12
+                and t_b <= self.start + self.envelope.duration - edge + 1e-12)
+
+
+#: Midpoint steps diagonalised together by one stacked `eigh`; bounds the
+#: memory of the step stack.
+STEP_CHUNK = 32
+
+
+def _hamiltonians(frame: OperatingFrame, active, times: np.ndarray) -> np.ndarray:
+    """Frame Hamiltonians at each of `times`, stacked (n, dim, dim)."""
+    times = np.asarray(times)
+    hams = np.repeat(frame.h_static[None], len(times), axis=0)
+    for term in active:
+        c = term.coefficient(times)[:, None, None]
+        low = frame.lowering[term.target]
+        hams += c * low.conj().T + np.conj(c) * low
+    return hams
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0] of an (n, d, d) stack, by pairwise products."""
+    while len(steps) > 1:
+        paired = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
+    return steps[0]
+
+
+def _midpoint_steps(frame: OperatingFrame, active, t0: float, span: float,
+                    dt: float, u: np.ndarray) -> np.ndarray:
+    """Apply midpoint exponential steps of at most dt over [t0, t0 + span] to u."""
+    n_steps = max(1, math.ceil(span / dt - 1e-9))
+    h = span / n_steps
+    for first in range(0, n_steps, STEP_CHUNK):
+        t_mid = t0 + (np.arange(first, min(n_steps, first + STEP_CHUNK)) + 0.5) * h
+        vals, vecs = np.linalg.eigh(_hamiltonians(frame, active, t_mid))
+        phases = np.exp(-1j * TWO_PI * vals * h)
+        steps = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        u = _ordered_product(steps) @ u
+    return u
+
 
 def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: float,
             snapshot_times=()):
-    """Midpoint exponential stepping of the frame Hamiltonian.
+    """Propagate the frame Hamiltonian through drive terms and events.
 
-    `events` are (time, unitary) insertions applied between steps in time
-    order.  Intervals where no drive term is active advance by one exact
-    static step.  Returns (U(duration), snapshots) with snapshots the
-    propagators at the requested times.
+    `events` are (time, unitary) insertions applied between intervals in
+    time order.  The intervals run between breakpoints: 0, `duration`,
+    events, snapshots and each term's start, end and flat-top edges
+    (start + edge, end - edge).  Over each interval, by its active terms:
+
+    - none: one exact static step;
+    - all flat (CW tones, flat-top middles) at zero detuning: the
+      Hamiltonian is constant, one exact step;
+    - all flat at one nonzero detuning, over at least two periods
+      T = 1/|detuning|: the Hamiltonian is T-periodic (Shirley, Phys. Rev.
+      138, B979 (1965)), so U_T = U(t_a + T, t_a) is stepped once and the
+      interval is U_rest U_T^n, with U_T^n by binary powers and the
+      remainder stepped from t_a, which has the same tone phase;
+    - otherwise: midpoint exponential steps of at most `dt`.
+
+    Midpoint steps are built STEP_CHUNK at a time from one stacked `eigh`
+    and multiplied in order by a pairwise product.  Returns (U(duration),
+    snapshots) with snapshots the propagators at the requested times.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -389,13 +449,15 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     for term in drive_terms:
         breakpoints.add(min(duration, max(0.0, term.start)))
         if term.envelope is not None:
-            breakpoints.add(min(duration, term.start + term.envelope.duration))
+            end = term.start + term.envelope.duration
+            edge = term.envelope.edge
+            breakpoints.update(min(duration, max(0.0, t))
+                               for t in (term.start + edge, end - edge, end))
     grid = sorted(b for b in breakpoints if 0.0 <= b <= duration)
 
     events = sorted(events, key=lambda ev: ev[0])
     ev_pos = 0
     snap_pos = 0
-    h_work = np.empty_like(frame.h_static)
 
     def record_snapshots(now):
         nonlocal snap_pos
@@ -412,34 +474,26 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
         span = t_b - t_a
         if span > 1e-12:
             active = [term for term in drive_terms if term.active_in(t_a, t_b)]
-            constant = all(term.envelope is None and term.detuning == 0.0
-                           for term in active)
+            flat = all(term.flat_in(t_a, t_b) for term in active)
+            detunings = {term.detuning for term in active}
+            detuning = detunings.pop() if len(detunings) == 1 else None
             if not active:
                 u = frame.static_step(span) @ u
-            elif constant:
-                # time-independent over the interval: one exact step
-                np.copyto(h_work, frame.h_static)
-                for term in active:
-                    c = term.coefficient(t_a)
-                    low = frame.lowering[term.target]
-                    h_work += c * low.conj().T + np.conj(c) * low
-                vals, vecs = np.linalg.eigh(h_work)
+            elif flat and detuning == 0.0:
+                vals, vecs = np.linalg.eigh(_hamiltonians(frame, active, [t_a])[0])
                 phases = np.exp(-1j * TWO_PI * vals * span)
                 u = (vecs * phases) @ (vecs.conj().T @ u)
+            elif flat and detuning is not None and span >= 2.0 / abs(detuning):
+                period = 1.0 / abs(detuning)
+                u_period = _midpoint_steps(frame, active, t_a, period, dt,
+                                           np.eye(dim, dtype=complex))
+                n_periods = int(span // period)
+                u = np.linalg.matrix_power(u_period, n_periods) @ u
+                rest = span - n_periods * period
+                if rest > 1e-12:
+                    u = _midpoint_steps(frame, active, t_a, rest, dt, u)
             else:
-                n_steps = max(1, math.ceil(span / dt - 1e-9))
-                h = span / n_steps
-                for k in range(n_steps):
-                    t_mid = t_a + (k + 0.5) * h
-                    np.copyto(h_work, frame.h_static)
-                    for term in active:
-                        c = term.coefficient(t_mid)
-                        if c != 0.0j:
-                            low = frame.lowering[term.target]
-                            h_work += c * low.conj().T + np.conj(c) * low
-                    vals, vecs = np.linalg.eigh(h_work)
-                    phases = np.exp(-1j * TWO_PI * vals * h)
-                    u = (vecs * phases) @ (vecs.conj().T @ u)
+                u = _midpoint_steps(frame, active, t_a, span, dt, u)
         record_snapshots(t_b)
         while ev_pos < len(events) and events[ev_pos][0] <= t_b + 1e-12:
             u = events[ev_pos][1] @ u

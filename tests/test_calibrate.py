@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starkzz.calibrate import (CzCalibration, chain_cancellation,
+from starkzz.calibrate import (CzCalibration, calibrate_cz, chain_cancellation,
                                driven_zz_rate, find_cancellation_amplitude,
                                find_cancellation_phase)
 from starkzz.errors import (CancellationUnreachableError,
@@ -197,6 +197,38 @@ class TestDrivenZzRate:
         time_domain = driven_zz_rate(device_a.with_drives(cw), extra,
                                      duration=200.0)
         assert time_domain == pytest.approx(spectral, rel=0.05)
+
+
+def spectator_pair(cw_amps):
+    """Transmon 0 uncoupled; the device-a-like coupled pair is (1, 2)."""
+    system = SystemSpec(
+        transmons=(TransmonSpec(5.6, -0.3, 3), TransmonSpec(4.96, -0.283, 3),
+                   TransmonSpec(5.016, -0.287, 3)),
+        couplings=(direct_coupling(1, 2, 0.007745),))
+    return system.with_drives((DriveTone(1, cw_amps[0], NU_D, math.pi),
+                               DriveTone(2, cw_amps[1], NU_D, 0.0)))
+
+
+class TestDrivenZzRatePair:
+    def test_rate_of_the_requested_pair(self):
+        """On a pair other than (0, 1) the time-domain rate matches the
+        merged-tone spectrum of that pair."""
+        extra = (DriveTone(1, 0.012, NU_D, math.pi, role=DriveRole.GATE),
+                 DriveTone(2, 0.006, NU_D, 0.0, role=DriveRole.GATE))
+        spectral = driven_pair_rates(spectator_pair((0.042, 0.021)), 1, 2).zz
+        time_domain = driven_zz_rate(spectator_pair((0.030, 0.015)), extra,
+                                     duration=200.0, q0=1, q1=2)
+        assert time_domain == pytest.approx(spectral, rel=0.05)
+
+    def test_cz_phase_precalibration_reads_the_gate_pair(self):
+        """The CZ phase precalibration maximises the ZZ of the gate pair,
+        not that of transmons 0 and 1 (uncoupled here, so zero)."""
+        with pytest.raises(NonconvergenceError) as info:
+            calibrate_cz(spectator_pair((0.030, 0.015)), 200.0, 4.9, 0.02,
+                         control=2, target=1, max_iterations=0)
+        precal = info.value.transcript[0]
+        assert precal["iteration"] == "phase-precal"
+        assert abs(precal["zz_rate"]) > 1e-4
 
 
 class TestCzDegenerate:

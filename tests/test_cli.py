@@ -209,8 +209,9 @@ class TestCalibrateCommand:
         assert result["amplitudes"][0] == pytest.approx(15e-3, rel=0.2)
         assert abs(result["residual_zz"]) < 5e-6
 
-    def test_cz_zero_amplitude_exit_code(self, tmp_path):
+    def test_cz_zero_amplitude_exit_code(self, tmp_path, capsys):
         code = main(["calibrate", "cz", "--preset", "device-a",
                      "--duration", "200.0", "--gate-amplitude", "0.0",
                      "--out", str(tmp_path / "cz.json")])
         assert code == 3
+        assert "insensitive to the gate amplitude" in capsys.readouterr().err

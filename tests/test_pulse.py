@@ -6,10 +6,11 @@ import pytest
 from starkzz.errors import StepSizeError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                direct_coupling)
-from starkzz.pulse import (BARRIER, Envelope, EnvelopeKind, FrameChange,
-                           OperatingFrame, Play, PulseSchedule, block_leakage,
-                           extract_pauli_rates, gate_fidelity, propagate,
-                           sample_envelope, _fit_rotation, _rotation_model)
+from starkzz.pulse import (BARRIER, STEP_CHUNK, TWO_PI, Envelope, EnvelopeKind,
+                           FrameChange, OperatingFrame, Play, PulseSchedule,
+                           block_leakage, extract_pauli_rates, gate_fidelity,
+                           propagate, sample_envelope, _DriveTerm, _evolve,
+                           _fit_rotation, _ordered_product, _rotation_model)
 from starkzz.spectrum import driven_pair_rates, undriven_reference
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -162,6 +163,116 @@ class TestPropagateBasics:
             (DriveTone(0, 0.01, 5.0, 0.0, DriveRole.GATE),))
         with pytest.raises(ValueError):
             propagate(bad, PulseSchedule((), total_duration=10.0))
+
+
+def sequential_midpoint(frame, terms, t0, t1, dt, u):
+    """Oracle: one midpoint exponential step at a time over [t0, t1]."""
+    n = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    h = (t1 - t0) / n
+    for k in range(n):
+        t = t0 + (k + 0.5) * h
+        ham = frame.h_static.copy()
+        for term in terms:
+            if term.envelope is None or 0.0 <= t - term.start <= term.envelope.duration:
+                c = complex(term.coefficient(t))
+                low = frame.lowering[term.target]
+                ham += c * low.conj().T + np.conj(c) * low
+        vals, vecs = np.linalg.eigh(ham)
+        u = (vecs * np.exp(-1j * TWO_PI * vals * h)) @ (vecs.conj().T @ u)
+    return u
+
+
+def sequential_run(frame, terms, stops, dt):
+    """Oracle propagators at each of `stops`, stepping from 0."""
+    u, t, out = np.eye(frame.dim, dtype=complex), 0.0, []
+    for stop in stops:
+        u = sequential_midpoint(frame, terms, t, stop, dt, u)
+        out.append(u)
+        t = stop
+    return out
+
+
+def count_eigh(monkeypatch):
+    """Record the argument shape of every `np.linalg.eigh` call."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def qutrit_pair_frame():
+    system = SystemSpec(
+        transmons=(TransmonSpec(4.96, -0.283, 3), TransmonSpec(5.016, -0.287, 3)),
+        couplings=(direct_coupling(0, 1, 0.007745),))
+    return OperatingFrame(system, 5.0)
+
+
+class TestStepping:
+    """Batched and periodic stepping of `_evolve` against a plain
+    sequential midpoint loop.  The detuning 0.0937 GHz gives a period
+    (10.672 ns) that is no whole number of 0.05 ns steps."""
+
+    def test_ordered_product_matches_loop(self):
+        rng = np.random.default_rng(7)
+        mats = rng.normal(size=(2 * STEP_CHUNK - 3, 4, 4)) + 0j
+        expected = np.eye(4, dtype=complex)
+        for m in mats:
+            expected = m @ expected
+        scale = np.linalg.norm(expected)
+        assert np.linalg.norm(_ordered_product(mats) - expected) < 1e-12 * scale
+
+    def test_shaped_steps_match_loop(self, qutrit_pair_frame):
+        """Rise and fall only (no flat top), DRAG and skew quadratures and a
+        detuned carrier: non-commuting steps, 400 per edge (not a multiple
+        of the chunk)."""
+        frame = qutrit_pair_frame
+        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
+                       10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
+        term = _DriveTerm(target=0, start=0.0, envelope=env, amplitude=0.03,
+                          detuning=0.0937, phase=0.4)
+        assert (20.0 / 0.05) % STEP_CHUNK != 0
+        u, _ = _evolve(frame, [term], [], 40.0, 0.05)
+        oracle = sequential_run(frame, [term], [20.0, 40.0], 0.05)[-1]
+        assert np.linalg.norm(u - oracle) < 1e-12
+
+    def test_periodic_tone_matches_loop(self, qutrit_pair_frame, monkeypatch):
+        """A constant detuned tone over 50 periods, with a snapshot in the
+        middle of a period: both intervals end in a partial period.  The
+        result agrees with the stepwise oracle within the oracle's own
+        step error, from one period and one remainder per interval."""
+        frame = qutrit_pair_frame
+        tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
+                          detuning=-0.0937, phase=0.4)
+        stops = [123.45, 537.3]
+        assert 537.3 * 0.0937 > 50
+        calls = count_eigh(monkeypatch)
+        u, snaps = _evolve(frame, [tone], [], stops[-1], 0.05, snapshot_times=stops)
+        assert len(calls) < 40  # stepwise: 10746 steps in 336 chunks
+        oracle = sequential_run(frame, [tone], stops, 0.05)
+        fine = sequential_run(frame, [tone], stops, 0.025)
+        assert np.array_equal(u, snaps[-1])
+        for got, coarse, ref in zip(snaps, oracle, fine):
+            step_error = np.linalg.norm(coarse - ref)
+            assert np.linalg.norm(got - coarse) < step_error
+
+    def test_flat_top_play_matches_loop(self, qutrit_pair_frame, monkeypatch):
+        """A detuned flat-top Play whose flat middle spans 20 periods."""
+        frame = qutrit_pair_frame
+        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 254.0,
+                       10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
+        play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
+                          detuning=0.0937, phase=0.4)
+        calls = count_eigh(monkeypatch)
+        u, _ = _evolve(frame, [play], [], 270.0, 0.05)
+        assert len(calls) < 60  # stepwise: 5080 steps in 159 chunks
+        (coarse,) = sequential_run(frame, [play], [270.0], 0.05)
+        (fine,) = sequential_run(frame, [play], [270.0], 0.025)
+        assert np.linalg.norm(u - coarse) < np.linalg.norm(coarse - fine)
 
 
 class TestFrameChangeAlgebra:
