@@ -22,13 +22,13 @@ from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
 from .operators import (DriveRole, DriveTone, SystemSpec, basis_label,
                         build_rwa_hamiltonian_sparse, computational_labels)
-from .perturbation import PerturbativeInputs, zx_with_cancellation
+from .perturbation import seed_zx_rate
 from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
                     OperatingFrame, Play, PulseSchedule, GateResult,
                     _bloch_trajectory, _DriveTerm,
                     _evolve, _fit_rotation, _rotation_model, _rotation_seed,
                     propagate)
-from .spectrum import (driven_pair_rates, labeled_spectrum,
+from .spectrum import (apply_drive_axis, driven_pair_rates, labeled_spectrum,
                        targeted_label_energies)
 
 TWO_PI = 2.0 * math.pi
@@ -135,8 +135,8 @@ def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1,
 
 
 def _zz_at_scale(system: SystemSpec, q0: int, q1: int, scale: float) -> float:
-    drives = tuple(replace(d, amplitude=d.amplitude * scale) for d in system.drives)
-    return driven_pair_rates(system.with_drives(drives), q0, q1).zz
+    scaled = apply_drive_axis(system, "drives.scale", scale)
+    return driven_pair_rates(scaled, q0, q1).zz
 
 
 def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
@@ -309,29 +309,6 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
 # ---------------------------------------------------------------------------
 # repeated-gate angle extraction
 
-def _prep_state(frame: OperatingFrame, control: int, target: int,
-                control_state: int, target_axis: str) -> np.ndarray:
-    n_modes = len(frame.dims)
-    psi = np.zeros(frame.dim, dtype=complex)
-    i_lo = frame._label_pos(basis_label(n_modes, {control: control_state}))
-    i_hi = frame._label_pos(basis_label(n_modes, {control: control_state, target: 1}))
-    if target_axis == "z":
-        psi[i_lo] = 1.0
-    elif target_axis == "x":
-        psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown prep axis {target_axis!r}")
-    return psi
-
-
-def _repetition_trajectory(frame: OperatingFrame, u_op: np.ndarray, qubit: int,
-                           psi0: np.ndarray, n_reps: int) -> np.ndarray:
-    states = [psi0]
-    for _ in range(n_reps):
-        states.append(u_op @ states[-1])
-    return _bloch_trajectory(frame, qubit, states)
-
-
 def _canonical_rotation(v: np.ndarray, desired: np.ndarray) -> np.ndarray:
     """Pick the rotation-vector representative closest to `desired`.
 
@@ -345,55 +322,147 @@ def _canonical_rotation(v: np.ndarray, desired: np.ndarray) -> np.ndarray:
     return v if np.linalg.norm(v - desired) <= np.linalg.norm(alt - desired) else alt
 
 
-def _fit_gate_rotation(frame: OperatingFrame, u_op: np.ndarray, control: int,
-                       target: int, control_state: int, n_reps: int,
-                       desired: np.ndarray) -> np.ndarray:
-    """Per-gate target rotation vector (radians) for one control state.
+@dataclass(frozen=True)
+class _RepeatedGate:
+    """Repeated-gate amplification of one (control, target) pair's gate."""
 
-    Trajectories from a ground-state and an equator preparation are fit
-    jointly so the rotation azimuth stays observable at half-turn angles.
+    system: SystemSpec
+    frame: OperatingFrame
+    control: int
+    target: int
+    n_reps: int
+    dt: float
+
+    def unitary(self, schedule: PulseSchedule) -> np.ndarray:
+        return propagate(self.system, schedule, dt=self.dt, q0=self.target,
+                         q1=self.control, frame=self.frame).full_unitary
+
+    def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
+        n_modes = len(self.frame.dims)
+        psi = np.zeros(self.frame.dim, dtype=complex)
+        i_lo = self.frame._label_pos(
+            basis_label(n_modes, {self.control: control_state}))
+        i_hi = self.frame._label_pos(
+            basis_label(n_modes, {self.control: control_state, self.target: 1}))
+        if target_axis == "z":
+            psi[i_lo] = 1.0
+        elif target_axis == "x":
+            psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
+        else:
+            raise ValueError(f"unknown prep axis {target_axis!r}")
+        return psi
+
+    def _trajectory(self, u_op: np.ndarray, qubit: int, psi0: np.ndarray) -> np.ndarray:
+        states = [psi0]
+        for _ in range(self.n_reps):
+            states.append(u_op @ states[-1])
+        return _bloch_trajectory(self.frame, qubit, states)
+
+    def _rotation(self, u_op: np.ndarray, control_state: int,
+                  desired: np.ndarray) -> np.ndarray:
+        """Per-gate target rotation vector (radians) for one control state.
+
+        Trajectories from a ground-state and an equator preparation are fit
+        jointly so the rotation azimuth stays observable at half-turn angles.
+        """
+        times = np.arange(self.n_reps + 1, dtype=float)
+        trajs = [self._trajectory(u_op, self.target, self._prep(control_state, axis))
+                 for axis in ("z", "x")]
+
+        def residual(params):
+            parts = [(_rotation_model(params, times, traj[0]) - traj).ravel()
+                     for traj in trajs]
+            return np.concatenate(parts)
+
+        seeds = [desired / TWO_PI, _rotation_seed(times, trajs[0]),
+                 _rotation_seed(times, trajs[1])]
+        best = None
+        for seed in seeds:
+            sol = scipy.optimize.least_squares(residual, seed, method="lm",
+                                               max_nfev=2000)
+            if best is None or sol.cost < best.cost:
+                best = sol
+        v = TWO_PI * best.x
+        return _canonical_rotation(v, desired)
+
+    def rotations(self, schedule: PulseSchedule, desired) -> list[np.ndarray]:
+        """Target rotation vectors per gate with the control in 0 and in 1,
+        each on the branch closest to its entry of `desired`."""
+        u_op = self.unitary(schedule)
+        return [self._rotation(u_op, state, goal) for state, goal in enumerate(desired)]
+
+    def set_control_frame(self, cal, schedule, target_axis: str,
+                          tolerance: float) -> None:
+        """Null the control's z-phase per gate `schedule(cal)` by its frame change.
+
+        The phase is fit from an equator control preparation, with the
+        target along `target_axis` in an eigenstate of the conditional
+        operation (z for conditional phases, x for a conditional x flip) so
+        every repetition contributes and the phase is read over the full turn.
+        """
+        psi = (self._prep(0, target_axis) + self._prep(1, target_axis)) / math.sqrt(2.0)
+        times = np.arange(self.n_reps + 1, dtype=float)
+        seeds = [np.array([0.0, 0.0, 0.25]), np.array([0.0, 0.0, -0.25])]
+        for _ in range(4):
+            traj = self._trajectory(self.unitary(schedule(cal)), self.control, psi)
+            params, _ = _fit_rotation(times, traj, extra_seeds=seeds)
+            phase = TWO_PI * params[2]
+            cal.transcript.append({"iteration": "control-frame",
+                                   "control_phase_per_gate": phase})
+            if abs(phase) < tolerance:
+                break
+            # frame change exp(-i theta n) contributes -theta to the measured
+            # control phase, so the correction adds the measured value
+            cal.control_frame_change = _wrap_angle(cal.control_frame_change + phase)
+
+
+def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
+                logged: tuple[str, ...], tolerance: float, max_iterations: int,
+                name: str, cap=None, check=None) -> None:
+    """Drive every angle error `measure(cal)` below `tolerance` (rad).
+
+    Each iteration appends a transcript row (the iteration, the largest
+    error and the `logged` fields of `cal`) and, unless converged, moves
+    `get_params(cal)` by the least-squares Newton step of a forward-
+    difference Jacobian (one `steps` entry per parameter).  The Jacobian is
+    taken at the first iteration and again whenever the error grows after
+    a full step; a step after an error growth is halved.  `cap(cal)`, when
+    given, bounds each parameter's update, and `check(jac)` may reject each
+    new Jacobian by raising.  On convergence `cal.iterations` is set; after
+    `max_iterations` NonconvergenceError carries the transcript.
     """
-    times = np.arange(n_reps + 1, dtype=float)
-    trajs = [
-        _repetition_trajectory(
-            frame, u_op, target,
-            _prep_state(frame, control, target, control_state, axis), n_reps)
-        for axis in ("z", "x")]
-
-    def residual(params):
-        parts = [(_rotation_model(params, times, traj[0]) - traj).ravel()
-                 for traj in trajs]
-        return np.concatenate(parts)
-
-    seeds = [desired / TWO_PI, _rotation_seed(times, trajs[0]),
-             _rotation_seed(times, trajs[1])]
-    best = None
-    for seed in seeds:
-        sol = scipy.optimize.least_squares(residual, seed, method="lm",
-                                           max_nfev=2000)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    v = TWO_PI * best.x
-    return _canonical_rotation(v, desired)
-
-
-def _control_phase_per_gate(frame: OperatingFrame, u_op: np.ndarray, control: int,
-                            target: int, n_reps: int,
-                            target_axis: str = "z") -> float:
-    """Control z-phase per gate from an equator control preparation.
-
-    The target is prepared in an eigenstate of the conditional operation
-    (|0> for conditional phases, |+x> for a conditional x flip) so every
-    repetition contributes and the phase is read over the full turn.
-    """
-    lo = _prep_state(frame, control, target, 0, target_axis)
-    hi = _prep_state(frame, control, target, 1, target_axis)
-    psi = (lo + hi) / math.sqrt(2.0)
-    traj = _repetition_trajectory(frame, u_op, control, psi, n_reps)
-    times = np.arange(n_reps + 1, dtype=float)
-    params, _ = _fit_rotation(times, traj, extra_seeds=[np.array([0.0, 0.0, 0.25]),
-                                                        np.array([0.0, 0.0, -0.25])])
-    return TWO_PI * params[2]
+    jac = None
+    previous = math.inf
+    damping = 1.0
+    for iteration in range(max_iterations):
+        residual = measure(cal)
+        err = float(np.max(np.abs(residual)))
+        cal.transcript.append({"iteration": iteration, "max_angle_error": err,
+                               **{key: getattr(cal, key) for key in logged}})
+        if err < tolerance:
+            cal.iterations = iteration
+            return
+        if jac is None or (err > previous and damping == 1.0):
+            p0 = get_params(cal)
+            jac = np.zeros((len(residual), len(p0)))
+            for k in range(len(p0)):
+                trial = replace(cal, transcript=[])
+                p = p0.copy()
+                p[k] += steps[k]
+                set_params(trial, p)
+                jac[:, k] = (measure(trial) - residual) / steps[k]
+            if check is not None:
+                check(jac)
+        damping = 0.5 if err > previous else 1.0
+        update = np.linalg.lstsq(jac, residual, rcond=1e-8)[0]
+        if cap is not None:
+            bound = cap(cal)
+            update = np.clip(update, -bound, bound)
+        set_params(cal, get_params(cal) - damping * update)
+        previous = err
+    raise NonconvergenceError(
+        f"{name} above {tolerance} rad after {max_iterations} iterations",
+        transcript=cal.transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +505,20 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     one batch of fits), and stage 4 sets the control frame change from the
     control's phase accumulation over even gate repetitions.
     """
-    frame = OperatingFrame(system)
-    carrier = frame.dressed_frequency(target)
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, n_reps, dt)
+    carrier = gate.frame.dressed_frequency(target)
     gate_area = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 1.0, duration, sigma,
                          rise).flat_area
+    desired = (np.zeros(3), np.array([-math.pi, 0.0, 0.0]))
+
+    def schedule(c: CnotCalibration) -> PulseSchedule:
+        return _cnot_schedule(c, carrier, control, target, sigma, rise)
 
     if initial is not None:
         cal = replace(initial, transcript=list(initial.transcript))
     else:
         # Perturbative starting point for the conditional and direct rates.
-        t_c, t_t = system.transmons[control], system.transmons[target]
-        cw = {d.target: d.amplitude for d in system.cancellation_drives()}
-        nu_cw = (system.cancellation_drives()[0].frequency
-                 if system.cancellation_drives() else carrier)
-        j_total = sum(abs(c.strength) for c in system.couplings
-                      if c.strength is not None) or 1e-3
-        zx_unit = abs(float(zx_with_cancellation(PerturbativeInputs(
-            nu0=t_c.frequency, nu1=t_t.frequency, alpha0=t_c.anharmonicity,
-            alpha1=t_t.anharmonicity, j=j_total, omega0=cw.get(control, 0.0),
-            omega1=cw.get(target, 0.0), nu_d=nu_cw, omega_cr=1.0))))
-        omega_c0 = 0.25 / (zx_unit * gate_area)
+        omega_c0 = 0.25 / (seed_zx_rate(system, control, target, 1.0) * gate_area)
         cal = CnotCalibration(
             control_amplitude=omega_c0, target_amplitude=0.25 / gate_area,
             control_phase=0.0, target_phase=0.0, target_drag=0.0,
@@ -463,24 +526,14 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
             duration=duration)
 
         def conditional(cal_trial) -> np.ndarray:
-            probe = replace(cal_trial, target_amplitude=0.0)
-            res = propagate(system, _cnot_schedule(probe, carrier, control, target,
-                                                   sigma, rise),
-                            dt=dt, q0=target, q1=control, frame=frame)
-            v0 = _fit_gate_rotation(frame, res.full_unitary, control, target, 0,
-                                    n_reps, np.zeros(3))
-            v1 = _fit_gate_rotation(frame, res.full_unitary, control, target, 1,
-                                    n_reps, np.array([-math.pi, 0.0, 0.0]))
+            v0, v1 = gate.rotations(
+                schedule(replace(cal_trial, target_amplitude=0.0)), desired)
             return 0.5 * (v0 - v1)
 
         # Stage 1: linear scan of the conditional angle vs tone amplitude.
-        scan = []
-        for factor in (0.6, 1.0, 1.4):
-            amp = omega_c0 * factor
-            vec = conditional(replace(cal, control_amplitude=amp))
-            scan.append((amp, np.linalg.norm(vec)))
-        amps = np.array([a for a, _ in scan])
-        angles = np.array([theta for _, theta in scan])
+        amps = omega_c0 * np.array([0.6, 1.0, 1.4])
+        angles = [np.linalg.norm(conditional(replace(cal, control_amplitude=float(amp))))
+                  for amp in amps]
         slope, intercept = np.polyfit(amps, angles, 1)
         cal.control_amplitude = float((0.5 * math.pi - intercept) / slope)
 
@@ -494,17 +547,9 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
             if abs(error) < 0.5 * tolerance:
                 break
 
-    desired0 = np.zeros(3)
-    desired1 = np.array([-math.pi, 0.0, 0.0])
-
     def measure(cal_trial) -> np.ndarray:
-        sched = _cnot_schedule(cal_trial, carrier, control, target, sigma, rise)
-        res = propagate(system, sched, dt=dt, q0=target, q1=control, frame=frame)
-        v0 = _fit_gate_rotation(frame, res.full_unitary, control, target, 0,
-                                n_reps, desired0)
-        v1 = _fit_gate_rotation(frame, res.full_unitary, control, target, 1,
-                                n_reps, desired1)
-        return np.concatenate([v0 - desired0, v1 - desired1])
+        v0, v1 = gate.rotations(schedule(cal_trial), desired)
+        return np.concatenate([v0 - desired[0], v1 - desired[1]])
 
     def get_params(c) -> np.ndarray:
         return np.array([c.control_amplitude, c.target_amplitude,
@@ -521,69 +566,20 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
         c.target_skew = float(p[4])
         c.target_frame_change = float(p[5])
 
-    # Finite-difference Jacobian of the six angle residuals.
+    # Stage 3: the fine loop over the six angle residuals.
     steps = np.array([
         0.05 * abs(cal.control_amplitude) + 1e-5,
         0.05 * abs(cal.target_amplitude) + 1e-5,
         0.02, 0.5, 0.2, 0.02])
-
-    def jacobian(c, r0) -> np.ndarray:
-        p0 = get_params(c)
-        jac = np.zeros((6, 6))
-        for k in range(6):
-            trial = replace(c, transcript=[])
-            p = p0.copy()
-            p[k] += steps[k]
-            set_params(trial, p)
-            jac[:, k] = (measure(trial) - r0) / steps[k]
-        return jac
-
-    converged = False
-    jac = None
-    previous_norm = math.inf
-    damping = 1.0
-    for iteration in range(max_iterations):
-        residual = measure(cal)
-        err = float(np.max(np.abs(residual)))
-        cal.transcript.append({
-            "iteration": iteration, "max_angle_error": err,
-            "control_amplitude": cal.control_amplitude,
-            "target_amplitude": cal.target_amplitude,
-            "control_phase": cal.control_phase,
-            "target_phase": cal.target_phase,
-            "target_drag": cal.target_drag, "target_skew": cal.target_skew,
-            "target_frame_change": cal.target_frame_change,
-            "control_frame_change": cal.control_frame_change,
-        })
-        if err < tolerance:
-            converged = True
-            cal.iterations = iteration
-            break
-        if jac is None or (err > previous_norm and damping == 1.0):
-            jac = jacobian(cal, residual)
-        damping = 0.5 if err > previous_norm else 1.0
-        update = np.linalg.lstsq(jac, residual, rcond=1e-8)[0]
-        set_params(cal, get_params(cal) - damping * update)
-        previous_norm = err
-    if not converged:
-        raise NonconvergenceError(
-            f"CNOT fine loop above {tolerance} rad after {max_iterations} "
-            "iterations", transcript=cal.transcript)
+    newton_loop(cal, measure, get_params, set_params, steps,
+                ("control_amplitude", "target_amplitude", "control_phase",
+                 "target_phase", "target_drag", "target_skew",
+                 "target_frame_change", "control_frame_change"),
+                tolerance, max_iterations, "CNOT fine loop")
 
     # Stage 4: control frame change, with the target prepared along the
     # conditional rotation axis so the branch phase is read unambiguously.
-    for _ in range(4):
-        sched = _cnot_schedule(cal, carrier, control, target, sigma, rise)
-        res = propagate(system, sched, dt=dt, q0=target, q1=control, frame=frame)
-        phase = _control_phase_per_gate(frame, res.full_unitary, control, target,
-                                        n_reps, target_axis="x")
-        cal.transcript.append({"iteration": "control-frame",
-                               "control_phase_per_gate": phase})
-        if abs(phase) < tolerance:
-            break
-        # frame change exp(-i theta n) contributes -theta to the measured
-        # control phase, so the correction adds the measured value
-        cal.control_frame_change = _wrap_angle(cal.control_frame_change + phase)
+    gate.set_control_frame(cal, schedule, "x", tolerance)
     cal.converged = True
     return cal
 
@@ -613,8 +609,9 @@ def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
 # ---------------------------------------------------------------------------
 # CZ calibration
 
-def _cz_schedule(cal: CzCalibration, control: int, target: int, sigma: float,
-                 rise: float) -> PulseSchedule:
+def calibrated_cz_schedule(cal: CzCalibration, control: int = 1, target: int = 0,
+                           sigma: float = 10.0, rise: float = 3.0) -> PulseSchedule:
+    """Schedule realizing a conditional-phase gate from its calibration."""
     c_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.control_amplitude,
                      cal.duration, sigma, rise)
     t_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.target_amplitude,
@@ -669,7 +666,10 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
     and the target frame change to meet the conditional and single-qubit
     phase goals, and finally sets the control frame change.
     """
-    frame = OperatingFrame(system)
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, n_reps, dt)
+
+    def schedule(c: CzCalibration) -> PulseSchedule:
+        return calibrated_cz_schedule(c, control, target, sigma, rise)
 
     if initial is not None:
         cal = replace(initial, transcript=list(initial.transcript))
@@ -689,7 +689,7 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                          DriveTone(target, gate_amplitude, gate_frequency, 0.0,
                                    role=DriveRole.GATE),)
                 rates.append(driven_zz_rate(system, tones, dt=dt, q0=target,
-                                            q1=control, frame=frame))
+                                            q1=control, frame=gate.frame))
             rates = np.array(rates)
             design = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)],
                               axis=1)
@@ -704,96 +704,39 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                                    "relative_phase": cal.relative_phase,
                                    "zz_rate": values[offset]})
 
-    desired = np.array([0.0, math.pi])
+    desired = (np.zeros(3), np.array([0.0, 0.0, math.pi]))
 
     def measure(cal_trial) -> np.ndarray:
-        sched = _cz_schedule(cal_trial, control, target, sigma, rise)
-        res = propagate(system, sched, dt=dt, q0=target, q1=control, frame=frame)
-        angles = []
-        for control_state, goal in ((0, 0.0), (1, math.pi)):
-            v = _fit_gate_rotation(frame, res.full_unitary, control, target,
-                                   control_state, n_reps,
-                                   np.array([0.0, 0.0, goal]))
-            angles.append(v[2])
-        return np.array([_wrap_angle(angles[0] - desired[0]),
-                         _wrap_angle(angles[1] - desired[1])])
+        v0, v1 = gate.rotations(schedule(cal_trial), desired)
+        return np.array([_wrap_angle(v0[2]), _wrap_angle(v1[2] - math.pi)])
 
     def get_params(c) -> np.ndarray:
         return np.array([c.control_amplitude, c.target_frame_change])
 
     def set_params(c, p) -> None:
-        c.control_amplitude = float(p[0])
+        c.control_amplitude = float(p[0]) if p[0] >= 0.0 else 1e-4
         c.target_frame_change = float(p[1])
 
+    def cap(c) -> np.ndarray:
+        return np.array([0.5 * abs(c.control_amplitude) + 1e-4, 1.0])
+
+    def check(jac) -> None:
+        # Conditional-angle change of one amplitude step at the cap.
+        reach = abs(jac[1, 0] - jac[0, 0]) * cap(cal)[0]
+        if reach < tolerance:
+            raise NonconvergenceError(
+                "CZ conditional angle is insensitive to the gate amplitude "
+                f"(no conditional phase accumulates): a capped amplitude "
+                f"step moves it by {reach:.2e} rad, below the {tolerance} "
+                "rad tolerance", transcript=cal.transcript)
+
     steps = np.array([0.08 * abs(cal.control_amplitude) + 1e-5, 0.05])
-
-    def jacobian(c, r0) -> np.ndarray:
-        jac = np.zeros((2, 2))
-        p0 = get_params(c)
-        for k in range(2):
-            trial = replace(c, transcript=[])
-            p = p0.copy()
-            p[k] += steps[k]
-            set_params(trial, p)
-            jac[:, k] = (measure(trial) - r0) / steps[k]
-        return jac
-
-    converged = False
-    jac = None
-    previous_norm = math.inf
-    for iteration in range(max_iterations):
-        residual = measure(cal)
-        err = float(np.max(np.abs(residual)))
-        cal.transcript.append({
-            "iteration": iteration, "max_angle_error": err,
-            "control_amplitude": cal.control_amplitude,
-            "target_frame_change": cal.target_frame_change,
-            "control_frame_change": cal.control_frame_change})
-        if err < tolerance:
-            converged = True
-            cal.iterations = iteration
-            break
-        cap = np.array([0.5 * abs(cal.control_amplitude) + 1e-4, 1.0])
-        if jac is None:
-            jac = jacobian(cal, residual)
-            # Conditional-angle change of one amplitude step at the cap.
-            reach = abs(jac[1, 0] - jac[0, 0]) * cap[0]
-            if reach < tolerance:
-                raise NonconvergenceError(
-                    "CZ conditional angle is insensitive to the gate amplitude "
-                    f"(no conditional phase accumulates): a capped amplitude "
-                    f"step moves it by {reach:.2e} rad, below the {tolerance} "
-                    "rad tolerance", transcript=cal.transcript)
-        damping = 0.5 if err > previous_norm else 1.0
-        update = np.linalg.solve(jac, residual)
-        update = np.clip(update, -cap, cap)
-        set_params(cal, get_params(cal) - damping * update)
-        if cal.control_amplitude < 0.0:
-            cal.control_amplitude = 1e-4
-        previous_norm = err
-    if not converged:
-        raise NonconvergenceError(
-            f"CZ loop above {tolerance} rad after {max_iterations} iterations",
-            transcript=cal.transcript)
-
-    for _ in range(4):
-        sched = _cz_schedule(cal, control, target, sigma, rise)
-        res = propagate(system, sched, dt=dt, q0=target, q1=control, frame=frame)
-        phase = _control_phase_per_gate(frame, res.full_unitary, control, target,
-                                        n_reps)
-        cal.transcript.append({"iteration": "control-frame",
-                               "control_phase_per_gate": phase})
-        if abs(phase) < tolerance:
-            break
-        cal.control_frame_change = _wrap_angle(cal.control_frame_change + phase)
+    newton_loop(cal, measure, get_params, set_params, steps,
+                ("control_amplitude", "target_frame_change", "control_frame_change"),
+                tolerance, max_iterations, "CZ loop", cap=cap, check=check)
+    gate.set_control_frame(cal, schedule, "z", tolerance)
     cal.converged = True
     return cal
-
-
-def calibrated_cz_schedule(cal: CzCalibration, control: int = 1, target: int = 0,
-                           sigma: float = 10.0, rise: float = 3.0) -> PulseSchedule:
-    """Schedule realizing a calibrated conditional-phase gate."""
-    return _cz_schedule(cal, control, target, sigma, rise)
 
 
 def cz_gate_result(system: SystemSpec, cal: CzCalibration, control: int = 1,
@@ -801,7 +744,7 @@ def cz_gate_result(system: SystemSpec, cal: CzCalibration, control: int = 1,
                    dt: float = DEFAULT_DT) -> GateResult:
     """Propagate a calibrated conditional-phase gate and score it vs CZ."""
     frame = OperatingFrame(system)
-    sched = _cz_schedule(cal, control, target, sigma, rise)
+    sched = calibrated_cz_schedule(cal, control, target, sigma, rise)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     return propagate(system, sched, dt=dt, q0=min(control, target),
                      q1=max(control, target), target=cz, frame=frame)

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import copy
 import json
 import math
 import sys
-import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -29,26 +27,19 @@ from .calibrate import (chain_cancellation, calibrate_cnot, calibrate_cz,
                         find_cancellation_amplitude)
 from .config import (apply_override, config_hash, load_config, load_preset,
                      validate_config, to_system, with_levels)
-from .errors import (CancellationUnreachableError, ConfigError,
-                     InsufficientAmplitudeError, MultiFrequencyFrameError,
-                     NonconvergenceError, SingularDetuningError, StarkZZError,
-                     StepSizeError, TomographyFitError)
-from .operators import DriveTone, SystemSpec
+from .errors import (ConfigError, NonconvergenceError, SingularDetuningError,
+                     StarkZZError)
 from .perturbation import (PerturbativeInputs, sizzle_zz, static_zz,
                            zx_with_cancellation)
 from .pulse import (DEFAULT_DT, OperatingFrame, extract_pauli_rates,
                     schedule_to_document)
-from .spectrum import (driven_pair_rates, pair_rates, static_spectrum,
-                       undriven_reference)
+from .spectrum import (DRIVE_AXES, apply_drive_axis, driven_pair_rates,
+                       pair_rates, static_spectrum, undriven_reference)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
-
-_NUMERICAL_ERRORS = (SingularDetuningError, StepSizeError, TomographyFitError,
-                     CancellationUnreachableError, InsufficientAmplitudeError,
-                     MultiFrequencyFrameError)
 
 
 def _fmt(value) -> str:
@@ -91,27 +82,6 @@ def _write_json(path, payload) -> None:
             fh.write(text)
 
 
-def _perturbative_inputs(system: SystemSpec, q0: int, q1: int):
-    """Closed-form inputs for the pair, or None when not representable."""
-    t0, t1 = system.transmons[q0], system.transmons[q1]
-    j = sum(c.strength for c in system.couplings
-            if c.strength is not None and set(c.endpoints) == {q0, q1})
-    tones = {d.target: d for d in system.cancellation_drives()}
-    omega0 = tones[q0].amplitude if q0 in tones else 0.0
-    omega1 = tones[q1].amplitude if q1 in tones else 0.0
-    phi = 0.0
-    nu_d = 0.0
-    if q0 in tones and q1 in tones:
-        phi = tones[q0].phase - tones[q1].phase
-        nu_d = tones[q0].frequency
-    elif tones:
-        nu_d = next(iter(tones.values())).frequency
-    return PerturbativeInputs(
-        nu0=t0.frequency, nu1=t1.frequency, alpha0=t0.anharmonicity,
-        alpha1=t1.anharmonicity, j=j, omega0=omega0, omega1=omega1,
-        phi=phi, nu_d=nu_d)
-
-
 # ---------------------------------------------------------------------------
 # zz
 
@@ -121,14 +91,12 @@ def cmd_zz(args) -> int:
     q0, q1 = doc["pair"]
     reference = undriven_reference(system)
     static_numeric = pair_rates(static_spectrum(system), q0, q1).zz
-    inputs = _perturbative_inputs(system, q0, q1)
+    inputs = PerturbativeInputs.for_pair(system, q0, q1)
     static_pert = static_zz(inputs)
     flagged = False
     if system.drives:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rates = driven_pair_rates(system, q0, q1, reference=reference)
-        flagged = any("ambiguous" in str(w.message) for w in caught)
+        rates = driven_pair_rates(system, q0, q1, reference=reference)
+        flagged = rates.ambiguous
         zz_numeric = rates.zz
         shifts = (rates.stark_shift_q0, rates.stark_shift_q1)
         zz_pert = sizzle_zz(inputs)
@@ -180,24 +148,6 @@ def _parse_axis(spec: str):
     return path, np.linspace(start, stop, count)
 
 
-def _apply_axis_value(doc: dict, path: str, value: float) -> dict:
-    if path not in ("drives.scale", "drives.frequency", "drives.phase_difference"):
-        return apply_override(doc, f"{path}={value!r}")
-    out = copy.deepcopy(doc)
-    drives = out.get("drives", [])
-    if path == "drives.phase_difference":
-        if len(drives) < 2:
-            raise ConfigError("phase_difference axis needs two drives", path)
-        drives[0]["phase"] = drives[1]["phase"] + value
-    elif path == "drives.scale":
-        for d in drives:
-            d["amplitude"] *= value
-    else:
-        for d in drives:
-            d["frequency"] = value
-    return out
-
-
 def cmd_sweep(args) -> int:
     doc = _effective_config(args)
     axes = [_parse_axis(spec) for spec in args.axis]
@@ -213,22 +163,23 @@ def cmd_sweep(args) -> int:
     reference = undriven_reference(base_system)
 
     def evaluate(point):
+        # Config paths edit the document; the drive axes then edit its system.
         modified = doc
         for (path, _), value in zip(axes, point):
-            modified = _apply_axis_value(modified, path, float(value))
+            if path not in DRIVE_AXES:
+                modified = apply_override(modified, f"{path}={float(value)!r}")
         try:
             system = to_system(modified)
-            inputs = _perturbative_inputs(system, q0, q1)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rates = driven_pair_rates(system, q0, q1, reference=reference)
-            flagged = any("ambiguous" in str(w.message) for w in caught)
+            for (path, _), value in zip(axes, point):
+                if path in DRIVE_AXES:
+                    system = apply_drive_axis(system, path, float(value))
+            rates = driven_pair_rates(system, q0, q1, reference=reference)
             try:
-                pert = sizzle_zz(inputs)
+                pert = sizzle_zz(PerturbativeInputs.for_pair(system, q0, q1))
             except SingularDetuningError:
                 pert = float("nan")
             return (*point, rates.zz, pert, rates.zi, rates.iz,
-                    int(flagged), "")
+                    int(rates.ambiguous), "")
         except StarkZZError as exc:
             return (*point, float("nan"), float("nan"), float("nan"),
                     float("nan"), 0, f"{type(exc).__name__}: {exc}")
@@ -283,7 +234,7 @@ def cmd_zx(args) -> int:
                     rates = extract_pauli_rates(variant, float(omega), carrier,
                                                 control, target, dt=dt)
                     tomo = rates["ZX"]
-                inputs = _perturbative_inputs(variant, q0, q1)
+                inputs = PerturbativeInputs.for_pair(variant, q0, q1)
                 pert = float(zx_with_cancellation(
                     replace(inputs, omega_cr=float(omega)), cr_on=control))
                 row.extend([tomo, pert, ""])
@@ -311,9 +262,7 @@ def cmd_calibrate(args) -> int:
     if args.gate == "cancel":
         scale = find_cancellation_amplitude(system, *doc["pair"],
                                             max_scale=args.max_scale)
-        drives = tuple(
-            DriveTone(d.target, d.amplitude * scale, d.frequency, d.phase, d.role)
-            for d in system.drives)
+        drives = apply_drive_axis(system, "drives.scale", scale).drives
         rates = driven_pair_rates(system.with_drives(drives), *doc["pair"],
                                   reference=undriven_reference(system))
         result = {
@@ -347,56 +296,28 @@ def cmd_calibrate(args) -> int:
         worst = max(abs(r) for r in solution.residual_zz)
         print(f"chain cancelled: worst residual {worst * 1e6:.3f} kHz, "
               f"max shift {max(abs(s) for s in solution.stark_shifts) * 1e3:.3f} MHz")
-    elif args.gate == "cnot":
-        cal = calibrate_cnot(system, args.duration, control=args.control,
-                             target=args.target, dt=args.dt)
-        gate = cnot_gate_result(system, cal, control=args.control,
-                                target=args.target, dt=args.dt)
+    elif args.gate in ("cnot", "cz"):
+        pair = {"control": args.control, "target": args.target}
+        if args.gate == "cnot":
+            cal = calibrate_cnot(system, args.duration, dt=args.dt, **pair)
+            gate = cnot_gate_result(system, cal, dt=args.dt, **pair)
+            schedule = calibrated_cnot_schedule(system, cal, **pair)
+        else:
+            cal = calibrate_cz(system, args.duration, args.gate_frequency,
+                               args.gate_amplitude, dt=args.dt, **pair)
+            gate = cz_gate_result(system, cal, dt=args.dt, **pair)
+            schedule = calibrated_cz_schedule(cal, **pair)
         result = {
-            "routine": "cnot",
-            "control_amplitude": cal.control_amplitude,
-            "target_amplitude": cal.target_amplitude,
-            "control_phase": cal.control_phase,
-            "target_phase": cal.target_phase,
-            "target_drag": cal.target_drag,
-            "target_skew": cal.target_skew,
-            "target_frame_change": cal.target_frame_change,
-            "control_frame_change": cal.control_frame_change,
-            "duration": cal.duration,
-            "iterations": cal.iterations,
+            "routine": args.gate,
+            **{f.name: getattr(cal, f.name) for f in fields(cal)
+               if f.name not in ("converged", "transcript")},
             "fidelity": gate.fidelity,
             "leakage": gate.leakage,
-            "schedule": schedule_to_document(
-                calibrated_cnot_schedule(system, cal, args.control,
-                                         args.target)),
+            "schedule": schedule_to_document(schedule),
         }
         transcript_columns, transcript_rows = _transcript_table(cal.transcript)
-        print(f"CNOT converged in {cal.iterations} iterations: fidelity "
-              f"{gate.fidelity:.6f}, leakage {gate.leakage:.2e}")
-    elif args.gate == "cz":
-        cal = calibrate_cz(system, args.duration, args.gate_frequency,
-                           args.gate_amplitude, control=args.control,
-                           target=args.target, dt=args.dt)
-        gate = cz_gate_result(system, cal, control=args.control,
-                              target=args.target, dt=args.dt)
-        result = {
-            "routine": "cz",
-            "control_amplitude": cal.control_amplitude,
-            "target_amplitude": cal.target_amplitude,
-            "relative_phase": cal.relative_phase,
-            "target_frame_change": cal.target_frame_change,
-            "control_frame_change": cal.control_frame_change,
-            "gate_frequency": cal.gate_frequency,
-            "duration": cal.duration,
-            "iterations": cal.iterations,
-            "fidelity": gate.fidelity,
-            "leakage": gate.leakage,
-            "schedule": schedule_to_document(
-                calibrated_cz_schedule(cal, args.control, args.target)),
-        }
-        transcript_columns, transcript_rows = _transcript_table(cal.transcript)
-        print(f"CZ converged in {cal.iterations} iterations: fidelity "
-              f"{gate.fidelity:.6f}, leakage {gate.leakage:.2e}")
+        print(f"{args.gate.upper()} converged in {cal.iterations} iterations: "
+              f"fidelity {gate.fidelity:.6f}, leakage {gate.leakage:.2e}")
     else:
         raise ConfigError(f"unknown calibration routine {args.gate!r}")
 
@@ -463,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--axis", action="append", required=True,
                          metavar="PATH:START:STOP:COUNT",
-                         help="sweep axis (max two); virtual paths: "
-                              "drives.scale, drives.frequency, "
-                              "drives.phase_difference")
+                         help="sweep axis (max two): a config path or one "
+                              "of " + ", ".join(DRIVE_AXES))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_zx = sub.add_parser("zx", help="entangling-rate curve to CSV")
@@ -511,7 +431,7 @@ def main(argv=None) -> int:
         for row in exc.transcript[-5:]:
             print(f"  {row}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except _NUMERICAL_ERRORS as exc:
+    except StarkZZError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

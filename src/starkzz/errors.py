@@ -21,6 +21,10 @@ class MissingLabelError(StarkZZError):
     """A required bare-state label is absent from a labeled spectrum."""
 
 
+class SolverFailureError(StarkZZError):
+    """A numerical solve (bare-parameter fit, shift-inverted eigensolve) failed."""
+
+
 class StepSizeError(StarkZZError):
     """Propagation step size produced unacceptable unitarity drift."""
 

@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import SingularDetuningError
+from .operators import SystemSpec
 
 #: Denominator guard band in GHz (1 kHz).
 POLE_GUARD = 1e-6
+#: Exchange strength (GHz) standing in for J = 0, e.g. a bus-only pair,
+#: where a closed form only seeds a numerical search.
+SEED_J_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,29 @@ class PerturbativeInputs:
     phi: float = 0.0
     nu_d: float = 0.0
     omega_cr: float = 0.0
+
+    @classmethod
+    def for_pair(cls, system: SystemSpec, q0: int, q1: int) -> "PerturbativeInputs":
+        """Inputs of transmons (q0, q1) of a system, in that order.
+
+        `j` is the signed sum of the pair's direct strengths (0 for a
+        bus-only pair), the amplitudes and the phase difference are those
+        of the pair's cancellation tones, and `nu_d` is the frequency of the
+        system's first cancellation tone (0 without one).
+        """
+        t0, t1 = system.transmons[q0], system.transmons[q1]
+        j = sum(c.strength for c in system.couplings
+                if c.strength is not None and set(c.endpoints) == {q0, q1})
+        cw = system.cancellation_drives()
+        tones = {d.target: d for d in cw}
+        both = q0 in tones and q1 in tones
+        return cls(
+            nu0=t0.frequency, nu1=t1.frequency, alpha0=t0.anharmonicity,
+            alpha1=t1.anharmonicity, j=j,
+            omega0=tones[q0].amplitude if q0 in tones else 0.0,
+            omega1=tones[q1].amplitude if q1 in tones else 0.0,
+            phi=tones[q0].phase - tones[q1].phase if both else 0.0,
+            nu_d=cw[0].frequency if cw else 0.0)
 
     @property
     def delta01(self) -> float:
@@ -231,6 +258,18 @@ def zx_with_cancellation(inputs: PerturbativeInputs, cr_on: int = 0) -> ZxRate:
         value += (work.j * work.omega_cr * work.omega1 ** 2
                   * _zx_coefficient_c(alpha, d01, d0d, d1d, div))
     return ZxRate(value, averaged)
+
+
+def seed_zx_rate(system: SystemSpec, control: int, target: int,
+                 omega_cr: float) -> float:
+    """|ZX| of an entangling tone of amplitude `omega_cr` on `control`.
+
+    Seeds numerical searches, so a pair without direct coupling is given
+    J = SEED_J_FLOOR instead of a zero rate.
+    """
+    inputs = PerturbativeInputs.for_pair(system, control, target)
+    return abs(float(zx_with_cancellation(replace(
+        inputs, j=inputs.j or SEED_J_FLOOR, omega_cr=omega_cr))))
 
 
 def zx_first_order(inputs: PerturbativeInputs, cr_on: int = 0) -> float:

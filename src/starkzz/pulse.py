@@ -22,7 +22,7 @@ from .errors import StepSizeError, TomographyFitError
 from .operators import (DriveRole, SystemSpec, bare_index, basis_label,
                         build_rwa_hamiltonian, computational_labels,
                         index_to_label, mode_operators)
-from .perturbation import PerturbativeInputs, zx_with_cancellation
+from .perturbation import seed_zx_rate
 from .spectrum import assign_labels
 
 TWO_PI = 2.0 * math.pi
@@ -676,17 +676,7 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
                       detuning=cr_frequency - frame.frame_frequency)
 
     # Pilot rate guess from the perturbative conditional rate plus a floor.
-    t_c, t_t = system.transmons[control], system.transmons[target]
-    j_total = sum(abs(c.strength) for c in system.couplings
-                  if c.strength is not None) or 1e-3
-    cw = system.cancellation_drives()
-    omegas = {d.target: d.amplitude for d in cw}
-    guess_inputs = PerturbativeInputs(
-        nu0=t_c.frequency, nu1=t_t.frequency, alpha0=t_c.anharmonicity,
-        alpha1=t_t.anharmonicity, j=j_total,
-        omega0=omegas.get(control, 0.0), omega1=omegas.get(target, 0.0),
-        omega_cr=cr_amplitude, nu_d=cw[0].frequency if cw else cr_frequency)
-    rate_guess = max(abs(float(zx_with_cancellation(guess_inputs))), 2e-4)
+    rate_guess = max(seed_zx_rate(system, control, target, cr_amplitude), 2e-4)
 
     prep_labels = [basis_label(len(frame.dims), {control: s}) for s in (0, 1)]
 

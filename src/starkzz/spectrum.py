@@ -12,20 +12,21 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import MissingLabelError, NonPerturbativeRegimeError
+from .errors import (ConfigError, MissingLabelError, NonPerturbativeRegimeError,
+                     SolverFailureError)
 from .operators import (DriveTone, SystemSpec, bare_index, basis_label,
                         build_rwa_hamiltonian, build_static_hamiltonian,
                         computational_labels, direct_coupling, index_to_label,
                         is_hermitian)
+from .perturbation import SEED_J_FLOOR, PerturbativeInputs, sizzle_zz_induced
 
-#: Below this overlap an assignment is considered ambiguous and flagged.
+#: Below this overlap a label assignment is ambiguous (`PairRates.ambiguous`).
 AMBIGUOUS_OVERLAP = 0.5
 
 
@@ -45,11 +46,6 @@ class LabeledSpectrum:
     overlaps: np.ndarray
     frame_frequency: float
     dims: tuple[int, ...]
-
-    @property
-    def ambiguous_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(lab for lab, ov in zip(self.labels, self.overlaps)
-                     if ov < AMBIGUOUS_OVERLAP)
 
     def _index(self, label) -> int:
         try:  # labels are stored in bare-index order, one per basis state
@@ -90,8 +86,8 @@ def assign_labels(vecs: np.ndarray) -> np.ndarray:
 def labeled_spectrum(h: np.ndarray, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
     """Full eigendecomposition with bijective bare-state labeling.
 
-    Assignments with maximum overlap below 0.5 are flagged (and reported
-    through `ambiguous_labels`) but not fatal.
+    Each label's overlap is kept; one below AMBIGUOUS_OVERLAP is not fatal
+    (`PairRates.ambiguous` reports it for the computational labels).
     """
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) != h.shape[0]:
@@ -117,7 +113,8 @@ class PairRates:
     versus in the ground state; `zi`/`iz` are the matching single-qubit
     coefficients of the two-qubit Pauli decomposition.  Stark shifts are
     dressed-frequency excursions relative to the reference (undriven)
-    spectrum, 0.0 when no reference was supplied.
+    spectrum, 0.0 when no reference was supplied.  `min_overlap` is the
+    smallest bare-state overlap of the four computational labels.
     """
 
     zz: float
@@ -125,6 +122,12 @@ class PairRates:
     iz: float
     stark_shift_q0: float = 0.0
     stark_shift_q1: float = 0.0
+    min_overlap: float = 1.0
+
+    @property
+    def ambiguous(self) -> bool:
+        """True when a computational label's overlap is below AMBIGUOUS_OVERLAP."""
+        return self.min_overlap < AMBIGUOUS_OVERLAP
 
 
 def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
@@ -134,11 +137,8 @@ def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
     Energies are compared after restoring each label's frame offset, so
     spectra taken in different rotating frames combine consistently.
     """
-    l00, l01, l10, l11 = computational_labels(len(spec.dims), q0, q1)
-    shaky = [l for l in (l00, l01, l10, l11) if spec.overlap(l) < AMBIGUOUS_OVERLAP]
-    if shaky:
-        warnings.warn(f"ambiguous computational labels (overlap < {AMBIGUOUS_OVERLAP}): "
-                      f"{shaky}", stacklevel=2)
+    labels = computational_labels(len(spec.dims), q0, q1)
+    l00, l01, l10, l11 = labels
     e00 = spec.lab_energy(l00)
     e01 = spec.lab_energy(l01)
     e10 = spec.lab_energy(l10)
@@ -153,29 +153,40 @@ def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
         r00, r01, r10, r11 = (reference.lab_energy(l) for l in (l00, l01, l10, l11))
         shift0 = (e10 - e00) - (r10 - r00)
         shift1 = (e01 - e00) - (r01 - r00)
-    return PairRates(zz=zz, zi=zi, iz=iz, stark_shift_q0=shift0, stark_shift_q1=shift1)
+    return PairRates(zz=zz, zi=zi, iz=iz, stark_shift_q0=shift0, stark_shift_q1=shift1,
+                     min_overlap=min(spec.overlap(l) for l in labels))
 
 
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
-SWEEP_AXES = ("amplitude_scale", "drive_frequency", "phase_difference")
+#: Sweep axes that edit a system's drives together; every other sweep axis
+#: is a config path.
+DRIVE_AXES = ("drives.scale", "drives.frequency", "drives.phase_difference")
 
 
-def _apply_axis(system: SystemSpec, axis: str, value: float) -> SystemSpec:
+def apply_drive_axis(system: SystemSpec, axis: str, value: float) -> SystemSpec:
+    """The system with one of the DRIVE_AXES set to `value`.
+
+    `drives.scale` multiplies every amplitude, `drives.frequency` sets every
+    frequency and `drives.phase_difference` sets the first drive's phase to
+    the second's plus `value`.  A negative amplitude and a phase difference
+    with fewer than two drives raise ConfigError.
+    """
     drives = list(system.drives)
-    if not drives:
-        raise ValueError("sweep axes require at least one drive in the system")
-    if axis == "amplitude_scale":
-        drives = [replace(d, amplitude=d.amplitude * value) for d in drives]
-    elif axis == "drive_frequency":
+    if axis == "drives.scale":
+        try:
+            drives = [replace(d, amplitude=d.amplitude * value) for d in drives]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    elif axis == "drives.frequency":
         drives = [replace(d, frequency=value) for d in drives]
-    elif axis == "phase_difference":
-        # Phase of the first drive relative to the others.
-        base = drives[1].phase if len(drives) > 1 else 0.0
-        drives = [replace(drives[0], phase=base + value)] + drives[1:]
+    elif axis == "drives.phase_difference":
+        if len(drives) < 2:
+            raise ConfigError("phase_difference axis needs two drives", axis)
+        drives[0] = replace(drives[0], phase=drives[1].phase + value)
     else:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        raise ValueError(f"unknown drive axis {axis!r}; expected one of {DRIVE_AXES}")
     return system.with_drives(drives)
 
 
@@ -211,20 +222,17 @@ def static_spectrum(system: SystemSpec) -> LabeledSpectrum:
 
 def zz_vs_parameter(system: SystemSpec, axis: str, values, q0: int = 0, q1: int = 1,
                     workers: int | None = None) -> list[tuple[float, PairRates]]:
-    """Ordered samples of pair_rates along one sweep axis.
+    """Ordered samples of pair_rates along one of the DRIVE_AXES.
 
-    The axis is one of `amplitude_scale`, `drive_frequency`,
-    `phase_difference`.  Points are independent; with `workers` they are
-    evaluated in a thread pool (eigh releases the GIL) and returned in
-    input order regardless of completion order.
+    Points are independent; with `workers` they are evaluated in a thread
+    pool (eigh releases the GIL) and returned in input order regardless of
+    completion order.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     reference = undriven_reference(system)
     values = [float(v) for v in values]
 
     def point(value: float) -> tuple[float, PairRates]:
-        modified = _apply_axis(system, axis, value)
+        modified = apply_drive_axis(system, axis, value)
         return value, driven_pair_rates(modified, q0, q1, reference=reference)
 
     if workers and workers > 1:
@@ -235,14 +243,6 @@ def zz_vs_parameter(system: SystemSpec, axis: str, values, q0: int = 0, q1: int 
 
 # ---------------------------------------------------------------------------
 # effective exchange strength
-
-def _induced_zz_prefactor(in0, in1, nu_d: float) -> float:
-    """Drive-induced ZZ per unit J * Omega0 * Omega1 * cos(phi)."""
-    d0 = in0.frequency - nu_d
-    d1 = in1.frequency - nu_d
-    return 2.0 * in0.anharmonicity * in1.anharmonicity / (
-        d0 * d1 * (d0 + in0.anharmonicity) * (d1 + in1.anharmonicity))
-
 
 def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
                 target_induced: float = 50e-6, num_points: int = 5,
@@ -266,9 +266,11 @@ def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
     if tone1.frequency != nu_d:
         raise ValueError("probe tones must share one frequency")
 
-    # Amplitude scale from the perturbative form, using a direct-J guess.
-    j_guess = sum(abs(c.strength) for c in base.couplings if c.strength is not None) or 1e-3
-    k_unit = _induced_zz_prefactor(base.transmons[0], base.transmons[1], nu_d)
+    # Amplitude scale from the perturbative form, using a direct-J guess;
+    # k_unit is the induced ZZ per unit J * Omega0 * Omega1 * cos(phi).
+    inputs = PerturbativeInputs.for_pair(base, 0, 1)
+    j_guess = inputs.j or SEED_J_FLOOR
+    k_unit = sizzle_zz_induced(replace(inputs, j=1.0, omega0=1.0, omega1=1.0, nu_d=nu_d))
     omega_sq = abs(target_induced / (j_guess * k_unit))
     scale = math.sqrt(omega_sq / max(tone0.amplitude * tone1.amplitude, 1e-30))
 
@@ -339,7 +341,7 @@ def targeted_label_energies(h_sparse, dims, labels,
             except RuntimeError:
                 continue
         if vals is None:
-            raise RuntimeError(f"shift-inverted solve failed for label {label}")
+            raise SolverFailureError(f"shift-inverted solve failed for label {label}")
         weights = np.abs(vecs[idx, :]) ** 2
         best = int(np.argmax(weights))
         out[label] = (float(vals[best]), float(weights[best]))
@@ -396,7 +398,8 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
     x0 = np.concatenate([nu_meas, alpha_meas])
     sol = scipy.optimize.root(residual, x0, method="hybr", tol=1e-12)
     if not sol.success:
-        raise RuntimeError(f"bare-parameter fit failed: {sol.message}")
+        # one line: scipy wraps some messages, and CSV error cells hold one line
+        raise SolverFailureError(f"bare-parameter fit failed: {' '.join(sol.message.split())}")
     nus, alphas = sol.x[:n], sol.x[n:]
     return replace(system, transmons=tuple(
         replace(t, frequency=float(nu), anharmonicity=float(al))

@@ -1,11 +1,12 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from starkzz.calibrate import (CzCalibration, calibrate_cz, chain_cancellation,
                                driven_zz_rate, find_cancellation_amplitude,
-                               find_cancellation_phase)
+                               find_cancellation_phase, newton_loop)
 from starkzz.errors import (CancellationUnreachableError,
                             InsufficientAmplitudeError, NonconvergenceError)
 from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
@@ -238,3 +239,78 @@ class TestCzDegenerate:
             from starkzz.calibrate import calibrate_cz
             calibrate_cz(cw, 200.0, 4.9, 0.0, control=1, target=0,
                          max_iterations=6)
+
+
+@dataclass
+class Knobs:
+    """Stand-in calibration for the Newton loop: two parameters."""
+
+    x: float = 0.0
+    y: float = 0.0
+    iterations: int = 0
+    transcript: list = field(default_factory=list)
+
+
+def run_newton(measure, start=(0.0, 0.0), steps=(1e-3, 1e-3), **kw):
+    """Run newton_loop on Knobs(*start) and return them."""
+    knobs = Knobs(*start)
+
+    def set_params(k, p):
+        k.x, k.y = float(p[0]), float(p[1])
+
+    options = dict(tolerance=1e-9, max_iterations=10, name="test loop") | kw
+    newton_loop(knobs, measure, lambda k: np.array([k.x, k.y]), set_params,
+                np.array(steps), ("x", "y"), **options)
+    return knobs
+
+
+class TestNewtonLoop:
+    """The one Newton loop behind the CNOT and CZ calibrations, on
+    synthetic residuals (no propagation)."""
+
+    def test_linear_map_converges_in_one_step(self):
+        a = np.array([[2.0, 1.0], [0.5, 3.0]])
+        b = np.array([1.0, 2.0])
+        knobs = run_newton(lambda k: a @ np.array([k.x, k.y]) - b)
+        assert knobs.iterations == 1
+        assert [row["iteration"] for row in knobs.transcript] == [0, 1]
+        assert knobs.transcript[0]["max_angle_error"] == 2.0
+        assert np.allclose([knobs.x, knobs.y], np.linalg.solve(a, b), atol=1e-12)
+
+    def test_update_clipped_to_cap(self):
+        """A Newton step of 10 on x is cut to the cap of 1 per iteration,
+        while the uncapped y lands in one step."""
+        with pytest.raises(NonconvergenceError) as info:
+            run_newton(lambda k: np.array([k.x - 10.0, k.y - 3.0]),
+                       cap=lambda k: np.array([1.0, 100.0]), max_iterations=3)
+        rows = info.value.transcript
+        assert [row["x"] for row in rows] == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
+        assert [row["y"] for row in rows] == pytest.approx([0.0, 3.0, 3.0], abs=1e-9)
+
+    def test_growing_error_halves_step_and_refreshes_jacobian(self):
+        """Newton on atan(x) from x = 2 overshoots: the error grows, so the
+        Jacobian is retaken at the new point and that step is halved."""
+        h = 1e-6
+        with pytest.raises(NonconvergenceError) as info:
+            run_newton(lambda k: np.array([math.atan(k.x), k.y]), start=(2.0, 0.0),
+                       steps=(h, h), max_iterations=3)
+        x0, x1, x2 = (row["x"] for row in info.value.transcript)
+        errors = [row["max_angle_error"] for row in info.value.transcript]
+        assert errors[1] > errors[0]
+        slope0 = (math.atan(x0 + h) - math.atan(x0)) / h
+        assert x1 == pytest.approx(x0 - math.atan(x0) / slope0, rel=1e-9)
+        slope1 = (math.atan(x1 + h) - math.atan(x1)) / h
+        assert x2 == pytest.approx(x1 - 0.5 * math.atan(x1) / slope1, rel=1e-9)
+
+    def test_nonconvergence_carries_transcript(self):
+        with pytest.raises(NonconvergenceError) as info:
+            run_newton(lambda k: np.array([k.x ** 2 + 1.0, k.y]), max_iterations=4)
+        assert "test loop above 1e-09 rad after 4 iterations" in str(info.value)
+        assert [row["iteration"] for row in info.value.transcript] == [0, 1, 2, 3]
+        assert all(row["max_angle_error"] >= 1.0 for row in info.value.transcript)
+
+    def test_check_sees_each_new_jacobian(self):
+        seen = []
+        run_newton(lambda k: np.array([k.x - 1.0, k.y + 2.0]), check=seen.append)
+        assert len(seen) == 1
+        assert np.allclose(seen[0], np.eye(2), atol=1e-9)

@@ -9,7 +9,9 @@ from starkzz.cli import main
 from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
 from starkzz.errors import ConfigError
-from starkzz.spectrum import driven_pair_rates, fit_bare_transmons
+from starkzz.operators import build_rwa_hamiltonian, computational_labels
+from starkzz.spectrum import (AMBIGUOUS_OVERLAP, driven_pair_rates,
+                              fit_bare_transmons, labeled_spectrum)
 
 
 def read_rows(path):
@@ -74,6 +76,31 @@ class TestZzCommand:
                     "static_zz_perturbative"):
             assert abs(report[key]) < 1e-12
 
+    def test_labeling_warning_is_the_overlap_test(self, tmp_path):
+        """At tones between the qubits the computational labels are
+        ambiguous; the report flags exactly that."""
+        out = tmp_path / "zz.json"
+        sets = ["drives.0.frequency=4.97", "drives.1.frequency=4.97"]
+        argv = ["zz", "--preset", "device-a", "--out", str(out)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert main(argv) == 0
+        doc = load_preset("device-a")
+        for assignment in sets:
+            doc = apply_override(doc, assignment)
+        system = to_system(doc)
+        spec = labeled_spectrum(build_rwa_hamiltonian(system, 4.97), system.dims, 4.97)
+        overlap = min(spec.overlap(label) for label in computational_labels(2, 0, 1))
+        assert overlap < AMBIGUOUS_OVERLAP
+        assert json.loads(out.read_text())["labeling_warning"] is True
+
+    def test_bare_fit_failure_exit_code(self, tmp_path, capsys):
+        code = main(["zz", "--preset", "device-a",
+                     "--set", "transmons.0.frequency=5.016",
+                     "--out", str(tmp_path / "zz.json")])
+        assert code == 4
+        assert "bare-parameter fit failed" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self):
         assert main(["zz"]) == 2
         assert main(["zz", "--preset", "device-a", "--config", "x.json"]) == 2
@@ -137,6 +164,50 @@ class TestSweepCommand:
         assert errors[0].startswith("ConfigError: amplitude must be >= 0")
         assert errors[-1] == ""
         assert math.isnan(float(rows[0][header.index("zz_numeric")]))
+
+    def test_negative_scale_recorded_and_run_continues(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "device-a",
+                     "--axis", "drives.scale:-1:1:3", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        errors = [r[header.index("error")] for r in rows]
+        assert errors[0].startswith("ConfigError: amplitude must be >= 0")
+        assert errors[1:] == ["", ""]
+
+    def test_phase_difference_needs_two_drives(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        one_drive = '[{"target": 0, "amplitude": 0.02, "frequency": 5.1}]'
+        assert main(["sweep", "--preset", "device-a", "--set", f"drives={one_drive}",
+                     "--axis", "drives.phase_difference:0:1:2",
+                     "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            assert row[header.index("error")].startswith("ConfigError: ")
+            assert "needs two drives" in row[header.index("error")]
+
+    def test_bare_fit_failure_recorded_and_run_continues(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--preset", "device-a", "--out", str(out),
+                     "--axis", "transmons.0.frequency:4.96:5.016:2"]) == 0
+        header, rows = read_rows(out)
+        errors = [r[header.index("error")] for r in rows]
+        assert errors[0] == ""
+        assert errors[1].startswith("SolverFailureError: bare-parameter fit failed")
+
+    def test_labeling_flag_same_with_threads(self, tmp_path):
+        """The flag comes from each point's own labels, so a thread pool
+        cannot move it between points."""
+        paths = [tmp_path / "serial.csv", tmp_path / "threads.csv"]
+        for path, threads in zip(paths, ("1", "4")):
+            assert main(["sweep", "--preset", "device-a", "--threads", threads,
+                         "--axis", "drives.frequency:4.95:5.05:11",
+                         "--out", str(path)]) == 0
+        flags = []
+        for path in paths:
+            header, rows = read_rows(path)
+            flags.append([r[header.index("labeling_warning")] for r in rows])
+        assert flags[0] == flags[1]
+        assert set(flags[0]) == {"0", "1"}
 
     def test_two_axes_row_major(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkzz.errors import SingularDetuningError
-from starkzz.operators import DriveTone, SystemSpec, TransmonSpec, direct_coupling
+from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
+                               direct_coupling)
 from starkzz.perturbation import (PerturbativeInputs, dressed_single_qubit_terms,
                                   single_drive_stark, sizzle_zz, sizzle_zz_induced,
                                   static_zz, two_level_zz, zx_first_order,
@@ -231,3 +232,40 @@ class TestZxWithCancellation:
         without = float(zx_with_cancellation(
             replace(inputs, omega0=0.0, omega1=0.0), cr_on=1))
         assert with_tones != pytest.approx(without, rel=1e-3)
+
+
+@st.composite
+def _driven_pairs(draw):
+    """2-transmon, 3-level systems with a direct coupling and two tones."""
+    freq, anharm = st.floats(4.8, 5.2), st.floats(-0.35, -0.2)
+    nu_d = draw(st.floats(5.25, 5.6))
+    return SystemSpec(
+        transmons=tuple(TransmonSpec(draw(freq), draw(anharm), 3) for _ in range(2)),
+        couplings=(direct_coupling(0, 1, draw(st.floats(-0.01, 0.01))),),
+        drives=tuple(DriveTone(q, draw(st.floats(0.0, 0.05)), nu_d,
+                               draw(st.floats(0.0, 2 * math.pi))) for q in (0, 1)))
+
+
+class TestForPair:
+    def test_device_a(self, device_a):
+        drives = (DriveTone(0, 0.059, 5.1, math.pi), DriveTone(1, 0.022, 5.1, 0.0))
+        inputs = PerturbativeInputs.for_pair(device_a.with_drives(drives), 0, 1)
+        assert inputs == device_a_inputs(device_a, omega0=0.059, omega1=0.022,
+                                         phi=math.pi, nu_d=5.1)
+
+    def test_bus_only_pair_and_gate_tones(self, device_b_pair):
+        """J counts only the pair's direct strengths; gate-role tones are
+        not cancellation tones."""
+        bus_only = replace(device_b_pair, couplings=device_b_pair.couplings[1:])
+        gate = DriveTone(0, 0.03, 4.9, 0.0, role=DriveRole.GATE)
+        inputs = PerturbativeInputs.for_pair(bus_only.with_drives((gate,)), 0, 1)
+        assert (inputs.j, inputs.omega0, inputs.nu_d) == (0.0, 0.0, 0.0)
+        assert PerturbativeInputs.for_pair(device_b_pair, 0, 1).j == 0.0106
+
+    @given(_driven_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_qubit_swap_symmetry(self, system):
+        inputs = PerturbativeInputs.for_pair(system, 0, 1)
+        assert PerturbativeInputs.for_pair(system, 1, 0) == inputs.swapped()
+        forward = driven_pair_rates(system, 0, 1).zz
+        assert driven_pair_rates(system, 1, 0).zz == pytest.approx(forward, abs=1e-12)

@@ -113,7 +113,7 @@ class TestSweeps:
         system = device_a.with_drives(
             (DriveTone(0, 0.040, NU_D_FIG1, 0.0), DriveTone(1, 0.020, NU_D_FIG1, 0.0)))
         phis = np.linspace(0, 2 * math.pi, 41)
-        samples = zz_vs_parameter(system, "phase_difference", phis)
+        samples = zz_vs_parameter(system, "drives.phase_difference", phis)
         zz = np.array([r.zz for _, r in samples])
         # least-squares fit to a + b cos(phi + phi0)
         design = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)], axis=1)
@@ -129,14 +129,14 @@ class TestSweeps:
         system = device_a.with_drives(
             (DriveTone(0, 0.020, NU_D_FIG1, 0.0), DriveTone(1, 0.010, NU_D_FIG1, 0.0)))
         for phi in (0.4, 1.1, 2.5):
-            plus = zz_vs_parameter(system, "phase_difference", [phi])[0][1].zz
-            minus = zz_vs_parameter(system, "phase_difference", [-phi])[0][1].zz
+            plus = zz_vs_parameter(system, "drives.phase_difference", [phi])[0][1].zz
+            minus = zz_vs_parameter(system, "drives.phase_difference", [-phi])[0][1].zz
             assert plus == pytest.approx(minus, abs=1e-9)
 
     def test_zero_amplitude_drive_leaves_static(self, device_a):
         system = device_a.with_drives(
             (DriveTone(0, 0.0, NU_D_FIG1, math.pi), DriveTone(1, 0.020, NU_D_FIG1, 0.0)))
-        samples = zz_vs_parameter(system, "amplitude_scale", [0.25, 0.5, 1.0])
+        samples = zz_vs_parameter(system, "drives.scale", [0.25, 0.5, 1.0])
         static = pair_rates(undriven_reference(device_a)).zz
         zz = [r.zz for _, r in samples]
         # the bilinear product vanishes; only higher-order self-Stark terms
@@ -150,7 +150,7 @@ class TestSweeps:
             (DriveTone(0, 0.020, NU_D_FIG1, 0.0), DriveTone(1, 0.010, NU_D_FIG1, 0.0)))
         static = pair_rates(undriven_reference(device_a)).zz
         phis = [0.0, 0.7, 1.9]
-        both = zz_vs_parameter(system, "phase_difference",
+        both = zz_vs_parameter(system, "drives.phase_difference",
                                phis + [p + math.pi for p in phis])
         zz = [r.zz for _, r in both]
         modulation = 0.5 * abs(max(zz) - min(zz))
@@ -163,7 +163,7 @@ class TestSweeps:
             (DriveTone(0, 0.015, NU_D_FIG1, math.pi), DriveTone(1, 0.0075, NU_D_FIG1, 0.0)))
         static = pair_rates(undriven_reference(device_a)).zz
         scales = np.linspace(0.3, 1.0, 8)
-        samples = zz_vs_parameter(system, "amplitude_scale", scales)
+        samples = zz_vs_parameter(system, "drives.scale", scales)
         induced = np.abs([r.zz - static for _, r in samples])
         slope = np.polyfit(np.log(scales), np.log(induced), 1)[0]
         assert slope == pytest.approx(2.00, abs=0.05)
@@ -192,8 +192,8 @@ class TestSweeps:
         system = device_a.with_drives(
             (DriveTone(0, 0.02, NU_D_FIG1, 0.0), DriveTone(1, 0.01, NU_D_FIG1, 0.0)))
         phis = np.linspace(0, math.pi, 7)
-        serial = zz_vs_parameter(system, "phase_difference", phis)
-        parallel = zz_vs_parameter(system, "phase_difference", phis, workers=4)
+        serial = zz_vs_parameter(system, "drives.phase_difference", phis)
+        parallel = zz_vs_parameter(system, "drives.phase_difference", phis, workers=4)
         for (v1, r1), (v2, r2) in zip(serial, parallel):
             assert v1 == v2
             assert r1.zz == r2.zz
