@@ -20,16 +20,15 @@ import scipy.optimize
 
 from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
-from .operators import (DriveRole, DriveTone, SystemSpec, basis_label,
-                        build_rwa_hamiltonian_sparse, computational_labels)
+from .operators import DriveRole, DriveTone, SystemSpec, basis_label
 from .perturbation import seed_zx_rate
 from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
                     OperatingFrame, Play, PulseSchedule, GateResult,
                     _bloch_trajectory, _DriveTerm,
                     _evolve, _fit_rotation, _rotation_model, _rotation_seed,
                     propagate)
-from .spectrum import (apply_drive_axis, driven_pair_rates, labeled_spectrum,
-                       targeted_label_energies)
+from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
+                       pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,10 +36,6 @@ TWO_PI = 2.0 * math.pi
 NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
-
-#: Hilbert dimension above which chain evaluations switch to targeted
-#: shift-inverted solves instead of dense decompositions.
-DENSE_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -170,59 +165,17 @@ def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
 # ---------------------------------------------------------------------------
 # chain cancellation
 
-class _ChainEvaluator:
-    """Pairwise ZZ and Stark shifts on the full-chain Hamiltonian."""
-
-    def __init__(self, system: SystemSpec, nu_d: float):
-        self.base = system.without_drives()
-        self.nu_d = nu_d
-        self.dims = system.dims
-        self.n = system.num_transmons
-        self.dense = system.total_dimension <= DENSE_LIMIT
-        self.ground = basis_label(self.n)
-        self.singles = [basis_label(self.n, {i: 1}) for i in range(self.n)]
-        self._undriven = self._energies((), [self.ground, *self.singles])
-
-    def _energies(self, drives, labels) -> dict:
-        system = self.base.with_drives(drives)
-        h = build_rwa_hamiltonian_sparse(system, self.nu_d)
-        if self.dense:
-            spec = labeled_spectrum(h.toarray(), self.dims, self.nu_d)
-            return {tuple(lab): spec.energy(lab) for lab in labels}
-        found = targeted_label_energies(h, self.dims, labels)
-        return {lab: e for lab, (e, _) in found.items()}
-
-    def pair_zz(self, drives, q0: int, q1: int) -> float:
-        labels = computational_labels(self.n, q0, q1)
-        e = self._energies(drives, labels)
-        return ((e[labels[3]] - e[labels[2]]) - (e[labels[1]] - e[labels[0]]))
-
-    def _shift(self, e: dict, label) -> float:
-        driven = e[label] - e[self.ground]
-        bare = self._undriven[label] - self._undriven[self.ground]
-        return driven - bare
-
-    def stark_shifts(self, drives) -> list[float]:
-        e = self._energies(drives, [self.ground, *self.singles])
-        return [self._shift(e, label) for label in self.singles]
-
-    def stark_shift_of(self, drives, qubit: int) -> float:
-        label = self.singles[qubit]
-        return self._shift(self._energies(drives, [self.ground, label]), label)
-
-
-def _seed_amplitude(evaluator: _ChainEvaluator, system: SystemSpec, nu_d: float,
+def _seed_amplitude(base: SystemSpec, reference: LabeledSpectrum, nu_d: float,
                     seed_shift: float, phase: float, cap: float) -> float:
     """Tone amplitude on qubit 0 producing the requested Stark shift."""
-    t0 = system.transmons[0]
+    t0 = base.transmons[0]
     delta = t0.frequency - nu_d
-    guess_sq = abs(2.0 * seed_shift * delta * (delta + t0.anharmonicity)
-                   / t0.anharmonicity)
-    guess = math.sqrt(guess_sq)
+    guess = math.sqrt(abs(2.0 * seed_shift * delta * (delta + t0.anharmonicity)
+                          / t0.anharmonicity))
 
     def objective(amp: float) -> float:
-        drives = (DriveTone(0, amp, nu_d, phase),)
-        return abs(evaluator.stark_shift_of(drives, 0)) - seed_shift
+        driven = rwa_spectrum(base.with_drives((DriveTone(0, amp, nu_d, phase),)), nu_d)
+        return abs(stark_shift(driven, reference, 0)) - seed_shift
 
     hi = min(cap, 3.0 * guess)
     if objective(hi) < 0:
@@ -257,21 +210,24 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     if not all(above):
         raise ValueError("the common tone frequency must sit above every qubit")
 
-    evaluator = _ChainEvaluator(chain, nu_d)
+    base = chain.without_drives()
+    reference = undriven_reference(chain)
     phases = [math.pi * (i % 2) for i in range(n)]
     amplitudes = [0.0] * n
-    amplitudes[0] = _seed_amplitude(evaluator, chain, nu_d, seed_stark_shift,
+    amplitudes[0] = _seed_amplitude(base, reference, nu_d, seed_stark_shift,
                                     phases[0], amplitude_cap)
 
-    def tones(up_to: int):
-        return tuple(DriveTone(i, amplitudes[i], nu_d, phases[i])
-                     for i in range(up_to + 1) if amplitudes[i] > 0.0)
+    def driven(up_to: int) -> LabeledSpectrum:
+        """Spectrum with the tones of qubits 0..up_to (zero amplitudes left out)."""
+        tones = tuple(DriveTone(i, amplitudes[i], nu_d, phases[i])
+                      for i in range(up_to + 1) if amplitudes[i] > 0.0)
+        return rwa_spectrum(base.with_drives(tones), nu_d)
 
     def solve_pair(i: int):
         """Amplitude on qubit i+1 nulling pair (i, i+1), earlier fixed."""
         def objective(amp: float) -> float:
             amplitudes[i + 1] = amp
-            return evaluator.pair_zz(tones(i + 1), i, i + 1)
+            return pair_rates(driven(i + 1), i, i + 1).zz
 
         zz0 = objective(0.0)
         if abs(zz0) < tolerance:
@@ -290,8 +246,8 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     for _ in range(max_sweeps):
         for i in range(n - 1):
             solve_pair(i)
-        all_tones = tones(n - 1)
-        residuals = [evaluator.pair_zz(all_tones, i, i + 1) for i in range(n - 1)]
+        final = driven(n - 1)
+        residuals = [pair_rates(final, i, i + 1).zz for i in range(n - 1)]
         if max(abs(r) for r in residuals) < tolerance:
             break
     else:
@@ -300,7 +256,7 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
             f"pair ({worst}, {worst + 1}) residual {residuals[worst]:.3e} GHz "
             f"after {max_sweeps} sweeps")
 
-    shifts = evaluator.stark_shifts(tones(n - 1))
+    shifts = [stark_shift(final, reference, q) for q in range(n)]
     return CancellationSolution(
         amplitudes=tuple(amplitudes), phases=tuple(phases), drive_frequency=nu_d,
         residual_zz=tuple(residuals), stark_shifts=tuple(shifts))

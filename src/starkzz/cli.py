@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -53,11 +56,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    """`#` header lines, then the table with the csv module's minimal quoting."""
+    buffer = io.StringIO()
+    buffer.writelines(f"# {line}\n" for line in header_lines)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    text = buffer.getvalue()
     if path is None:
         sys.stdout.write(text)
     else:
@@ -211,28 +216,28 @@ def cmd_zx(args) -> int:
     q0, q1 = doc["pair"]
     control, target = (args.control, args.target)
     _, values = _parse_axis(f"omega_cr:{args.amplitudes}")
-    dt = args.dt
 
-    tones_on = system
-    tones_off = system.without_drives()
+    # One frame per (system, frequency) for all amplitudes: tones on, the operating
+    # frame; tones off, a probe at the target's bare frequency and one at its dressed one.
+    frame = functools.cache(OperatingFrame)
+    variants = (system, system.without_drives())
     rows = []
     for omega in values:
         row = [float(omega)]
-        for variant, label in ((tones_on, "on"), (tones_off, "off")):
-            cw = variant.cancellation_drives()
-            frame = OperatingFrame(variant) if cw else None
+        for variant in variants:
             try:
                 if omega == 0.0:
                     tomo = 0.0
                 else:
-                    if frame is None:
-                        probe = OperatingFrame(variant,
-                                               variant.transmons[target].frequency)
-                        carrier = probe.dressed_frequency(target)
+                    if variant.cancellation_drives():
+                        tomography = frame(variant)
+                        carrier = tomography.dressed_frequency(target)
                     else:
-                        carrier = frame.dressed_frequency(target)
+                        probe = frame(variant, variant.transmons[target].frequency)
+                        carrier = probe.dressed_frequency(target)
+                        tomography = frame(variant, carrier)
                     rates = extract_pauli_rates(variant, float(omega), carrier,
-                                                control, target, dt=dt)
+                                                control, target, dt=args.dt, frame=tomography)
                     tomo = rates["ZX"]
                 inputs = PerturbativeInputs.for_pair(variant, q0, q1)
                 pert = float(zx_with_cancellation(

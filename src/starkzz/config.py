@@ -87,8 +87,10 @@ def validate_config(document: dict) -> dict:
             raise ConfigError("role must be 'cancellation' or 'gate'",
                               f"drives[{i}].role")
     pair = doc.setdefault("pair", [0, 1])
-    if len(pair) != 2 or not all(isinstance(q, int) for q in pair):
-        raise ConfigError("pair must be two transmon indices", "pair")
+    if (len(pair) != 2 or not all(type(q) is int and 0 <= q < len(transmons) for q in pair)
+            or pair[0] == pair[1]):
+        raise ConfigError(f"must be two distinct transmon indices in "
+                          f"[0, {len(transmons) - 1}], got {pair}", "pair")
     doc.setdefault("couplings", [])
     doc.setdefault("drives", [])
     doc.setdefault("frequencies_are_dressed", False)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import DimensionCapError, MultiFrequencyFrameError
 
@@ -222,11 +223,13 @@ def ladder_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
     return lowering, lowering.conj().T
 
 
-def is_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    norm = np.linalg.norm(h)
+def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
+    """Relative Frobenius test of h = h^dagger, for a dense or sparse matrix."""
+    frobenius = scipy.sparse.linalg.norm if scipy.sparse.issparse(h) else np.linalg.norm
+    norm = frobenius(h)
     if norm == 0:
         return True
-    return np.linalg.norm(h - h.conj().T) / norm < tol
+    return frobenius(h - h.conj().T) / norm < tol
 
 
 # ---------------------------------------------------------------------------

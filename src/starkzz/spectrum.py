@@ -12,46 +12,68 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (ConfigError, MissingLabelError, NonPerturbativeRegimeError,
                      SolverFailureError)
+# build_rwa_hamiltonian stays importable from here: perfbench's tracer test reads it.
 from .operators import (DriveTone, SystemSpec, bare_index, basis_label,
-                        build_rwa_hamiltonian, build_static_hamiltonian,
-                        computational_labels, direct_coupling, index_to_label,
-                        is_hermitian)
+                        build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,  # noqa: F401
+                        build_static_hamiltonian, computational_labels,
+                        direct_coupling, index_to_label, is_hermitian)
 from .perturbation import SEED_J_FLOOR, PerturbativeInputs, sizzle_zz_induced
 
 #: Below this overlap a label assignment is ambiguous (`PairRates.ambiguous`).
 AMBIGUOUS_OVERLAP = 0.5
+#: Largest Hilbert dimension that `labeled_spectrum` decomposes densely;
+#: above it each requested label gets its own shift-inverted sparse solve.
+DENSE_LIMIT = 1024
 
 
 @dataclass(frozen=True)
 class LabeledSpectrum:
     """Eigenvalues of a dressed Hamiltonian tagged with bare-state labels.
 
-    `labels[k]` is the bare occupation tuple assigned to `energies[k]`;
-    the assignment is a bijection between eigenvectors and bare basis
-    states.  `frame_frequency` records the rotating frame of the source
-    Hamiltonian (0 for the lab frame) so energies can be compared across
-    frames through `lab_energy`.
+    Slot k of `energies` and `overlaps` belongs to bare label k
+    (`labels[k]`).  A dense spectrum fills every slot from one bijective
+    assignment; a sparse one keeps its Hamiltonian in `sparse` and solves a
+    NaN slot the first time its label is read.  `frame_frequency` records
+    the rotating frame of the source Hamiltonian (0 for the lab frame) so
+    energies can be compared across frames through `lab_energy`.
     """
 
-    labels: tuple[tuple[int, ...], ...]
     energies: np.ndarray
     overlaps: np.ndarray
     frame_frequency: float
     dims: tuple[int, ...]
+    sparse: scipy.sparse.csc_matrix | None = None
+    # sweep threads share a reference spectrum; a slot is solved under the lock
+    _solving: threading.Lock = field(default_factory=threading.Lock, repr=False,
+                                     compare=False)
+
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(index_to_label(k, self.dims) for k in range(len(self.energies)))
 
     def _index(self, label) -> int:
-        try:  # labels are stored in bare-index order, one per basis state
-            return bare_index(label, self.dims)
+        try:
+            k = bare_index(label, self.dims)
         except ValueError:
             raise MissingLabelError(f"label {tuple(label)} not present in spectrum") from None
+        if self.sparse is not None:
+            with self._solving:
+                if math.isnan(self.energies[k]):
+                    key = index_to_label(k, self.dims)
+                    self.energies[k], self.overlaps[k] = targeted_label_energies(
+                        self.sparse, self.dims, [key])[key]
+        return k
 
     def energy(self, label) -> float:
         """Frame energy of the eigenstate assigned to `label`."""
@@ -83,26 +105,38 @@ def assign_labels(vecs: np.ndarray) -> np.ndarray:
     return bare_of_eig
 
 
-def labeled_spectrum(h: np.ndarray, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
-    """Full eigendecomposition with bijective bare-state labeling.
+def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
+    """Labeled spectrum of a Hermitian matrix, dense or sparse.
 
-    Each label's overlap is kept; one below AMBIGUOUS_OVERLAP is not fatal
+    Up to DENSE_LIMIT states this is one dense decomposition with
+    bijective bare-state labels; above it the spectrum keeps `h` sparse
+    and solves each label on first use (`targeted_label_energies`).  Each
+    label's overlap is kept; one below AMBIGUOUS_OVERLAP is not fatal
     (`PairRates.ambiguous` reports it for the computational labels).
     """
     dims = tuple(int(d) for d in dims)
-    if math.prod(dims) != h.shape[0]:
-        raise ValueError(f"dims {dims} inconsistent with matrix dimension {h.shape[0]}")
+    dim = h.shape[0]
+    if math.prod(dims) != dim:
+        raise ValueError(f"dims {dims} inconsistent with matrix dimension {dim}")
     if not is_hermitian(h, tol=1e-10):
         raise ValueError("labeled_spectrum requires a Hermitian matrix")
-    vals, vecs = scipy.linalg.eigh(h)
+    if dim > DENSE_LIMIT:
+        unsolved = np.full(dim, np.nan)
+        return LabeledSpectrum(energies=unsolved, overlaps=unsolved.copy(),
+                               frame_frequency=frame_frequency, dims=dims,
+                               sparse=scipy.sparse.csc_matrix(h))
+    vals, vecs = scipy.linalg.eigh(h.toarray() if scipy.sparse.issparse(h) else h)
     bare_of_eig = assign_labels(vecs)
-
-    order = np.argsort(bare_of_eig)  # present labels in bare-index order
-    labels = tuple(index_to_label(bare_of_eig[k], dims) for k in order)
-    energies = vals[order].copy()
-    overlaps = np.array([np.abs(vecs[bare_of_eig[k], k]) ** 2 for k in order])
-    return LabeledSpectrum(labels=labels, energies=energies, overlaps=overlaps,
+    order = np.argsort(bare_of_eig)  # eigenvector columns in bare-index order
+    return LabeledSpectrum(energies=vals[order].copy(),
+                           overlaps=np.abs(vecs[bare_of_eig[order], order]) ** 2,
                            frame_frequency=frame_frequency, dims=dims)
+
+
+def rwa_spectrum(system: SystemSpec, frame_frequency: float) -> LabeledSpectrum:
+    """Labeled spectrum of the system's RWA Hamiltonian in one frame."""
+    return labeled_spectrum(build_rwa_hamiltonian_sparse(system, frame_frequency),
+                            system.dims, frame_frequency=frame_frequency)
 
 
 @dataclass(frozen=True)
@@ -130,6 +164,15 @@ class PairRates:
         return self.min_overlap < AMBIGUOUS_OVERLAP
 
 
+def stark_shift(spec: LabeledSpectrum, reference: LabeledSpectrum, qubit: int) -> float:
+    """Dressed 0-1 frequency of `qubit` (other modes empty) in `spec` minus that
+    in `reference`; lab energies are compared, so the frames may differ."""
+    n_modes = len(spec.dims)
+    ground, excited = basis_label(n_modes), basis_label(n_modes, {qubit: 1})
+    return ((spec.lab_energy(excited) - spec.lab_energy(ground))
+            - (reference.lab_energy(excited) - reference.lab_energy(ground)))
+
+
 def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
                reference: LabeledSpectrum | None = None) -> PairRates:
     """Extract zz, zi, iz (and Stark shifts) for the (q0, q1) pair.
@@ -138,11 +181,7 @@ def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
     spectra taken in different rotating frames combine consistently.
     """
     labels = computational_labels(len(spec.dims), q0, q1)
-    l00, l01, l10, l11 = labels
-    e00 = spec.lab_energy(l00)
-    e01 = spec.lab_energy(l01)
-    e10 = spec.lab_energy(l10)
-    e11 = spec.lab_energy(l11)
+    e00, e01, e10, e11 = (spec.lab_energy(label) for label in labels)
 
     zz = (e11 - e10) - (e01 - e00)
     iz = (e00 + e10) - (e01 + e11)
@@ -150,9 +189,8 @@ def pair_rates(spec: LabeledSpectrum, q0: int = 0, q1: int = 1,
 
     shift0 = shift1 = 0.0
     if reference is not None:
-        r00, r01, r10, r11 = (reference.lab_energy(l) for l in (l00, l01, l10, l11))
-        shift0 = (e10 - e00) - (r10 - r00)
-        shift1 = (e01 - e00) - (r01 - r00)
+        shift0 = stark_shift(spec, reference, q0)
+        shift1 = stark_shift(spec, reference, q1)
     return PairRates(zz=zz, zi=zi, iz=iz, stark_shift_q0=shift0, stark_shift_q1=shift1,
                      min_overlap=min(spec.overlap(l) for l in labels))
 
@@ -193,13 +231,8 @@ def apply_drive_axis(system: SystemSpec, axis: str, value: float) -> SystemSpec:
 def driven_pair_rates(system: SystemSpec, q0: int = 0, q1: int = 1,
                       reference: LabeledSpectrum | None = None) -> PairRates:
     """Rates of the driven system from the single-frame RWA Hamiltonian."""
-    if system.drives:
-        frame = system.drives[0].frequency
-    else:
-        frame = 0.0
-    h = build_rwa_hamiltonian(system, frame)
-    spec = labeled_spectrum(h, system.dims, frame_frequency=frame)
-    return pair_rates(spec, q0, q1, reference=reference)
+    frame = system.drives[0].frequency if system.drives else 0.0
+    return pair_rates(rwa_spectrum(system, frame), q0, q1, reference=reference)
 
 
 def undriven_reference(system: SystemSpec) -> LabeledSpectrum:
@@ -210,8 +243,7 @@ def undriven_reference(system: SystemSpec) -> LabeledSpectrum:
     counter-rotating coupling terms shift dressed frequencies by ~MHz,
     which would otherwise contaminate the drive-induced excursions.
     """
-    bare = system.without_drives()
-    return labeled_spectrum(build_rwa_hamiltonian(bare, 0.0), bare.dims, frame_frequency=0.0)
+    return rwa_spectrum(system.without_drives(), 0.0)
 
 
 def static_spectrum(system: SystemSpec) -> LabeledSpectrum:
@@ -315,8 +347,6 @@ def targeted_label_energies(h_sparse, dims, labels,
     selected.  Returns {label: (energy, overlap)}.  Much cheaper than a
     full dense decomposition for large chains.
     """
-    import scipy.sparse.linalg
-
     dims = tuple(int(d) for d in dims)
     dim = math.prod(dims)
     h_csc = h_sparse.tocsc()

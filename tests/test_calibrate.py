@@ -13,6 +13,7 @@ from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
                                direct_coupling)
 from starkzz.perturbation import (PerturbativeInputs, sizzle_zz_induced,
                                   static_zz)
+from starkzz import spectrum
 from starkzz.spectrum import driven_pair_rates, undriven_reference
 
 NU_D = 5.1
@@ -173,6 +174,25 @@ class TestChainCancellation:
                             (0.0014, 0.0013))
         solution = chain_cancellation(chain, NU_D, seed_stark_shift=8e-4)
         assert solution.phases == (0.0, math.pi, 0.0)
+
+    def test_sparse_path_matches_dense(self, monkeypatch):
+        chain = small_chain(3, (4.93, 4.99, 4.95), (-0.29, -0.291, -0.289),
+                            (0.0014, 0.0013))
+        dense = chain_cancellation(chain, NU_D, seed_stark_shift=8e-4)
+        solves = []
+
+        def counting(h, dims, labels, **kwargs):
+            solves.append(labels)
+            return original(h, dims, labels, **kwargs)
+
+        original = spectrum.targeted_label_energies
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", chain.total_dimension - 1)
+        monkeypatch.setattr(spectrum, "targeted_label_energies", counting)
+        lazy = chain_cancellation(chain, NU_D, seed_stark_shift=8e-4)
+        assert solves
+        assert lazy.amplitudes == pytest.approx(dense.amplitudes, rel=1e-9)
+        assert lazy.stark_shifts == pytest.approx(dense.stark_shifts, rel=1e-9)
+        assert lazy.residual_zz == pytest.approx(dense.residual_zz, abs=1e-12)
 
     def test_drive_below_qubits_rejected(self):
         chain = small_chain(2, (5.2, 4.99), (-0.29, -0.29), (0.0014,))

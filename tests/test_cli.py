@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -10,14 +11,15 @@ from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
 from starkzz.errors import ConfigError
 from starkzz.operators import build_rwa_hamiltonian, computational_labels
-from starkzz.spectrum import (AMBIGUOUS_OVERLAP, driven_pair_rates,
-                              fit_bare_transmons, labeled_spectrum)
+from starkzz.pulse import OperatingFrame
+from starkzz.spectrum import (AMBIGUOUS_OVERLAP, apply_drive_axis,
+                              driven_pair_rates, fit_bare_transmons,
+                              labeled_spectrum)
 
 
 def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    header = lines[0].split(",")
-    rows = [l.split(",") for l in lines[1:]]
+    header, *rows = csv.reader(lines)
     return header, rows
 
 
@@ -48,6 +50,12 @@ class TestConfig:
         system = to_system(load_preset("device-a"))
         # bare frequencies differ from the measured dressed entries
         assert system.transmons[0].frequency != pytest.approx(4.960, abs=1e-5)
+
+    @pytest.mark.parametrize("pair", ["[0,5]", "[0,0]", "[1,-1]"])
+    def test_pair_must_be_two_distinct_transmons(self, pair, capsys):
+        assert main(["zz", "--preset", "device-a", "--set", f"pair={pair}"]) == 2
+        assert "config error: pair: must be two distinct transmon indices" \
+            in capsys.readouterr().err
 
     def test_hash_stable_under_key_order(self):
         doc = load_preset("device-a")
@@ -170,8 +178,12 @@ class TestSweepCommand:
         assert main(["sweep", "--preset", "device-a",
                      "--axis", "drives.scale:-1:1:3", "--out", str(out)]) == 0
         header, rows = read_rows(out)
+        assert all(len(row) == len(header) for row in rows)
         errors = [r[header.index("error")] for r in rows]
-        assert errors[0].startswith("ConfigError: amplitude must be >= 0")
+        with pytest.raises(ConfigError) as err:
+            apply_drive_axis(to_system(load_preset("device-a")), "drives.scale", -1.0)
+        assert errors[0] == f"ConfigError: {err.value}"
+        assert ", got -" in errors[0]
         assert errors[1:] == ["", ""]
 
     def test_phase_difference_needs_two_drives(self, tmp_path):
@@ -268,6 +280,27 @@ class TestBareFitMemo:
                 [t.anharmonicity for t in measured.transmons])
             zz = driven_pair_rates(fresh, *doc["pair"]).zz
             assert row[header.index("zz_numeric")] == f"{zz:.12g}"
+
+
+class TestZxCommand:
+    def test_frames_built_once_per_system_and_frequency(self, tmp_path, monkeypatch):
+        """Tones on: one operating frame.  Tones off: the probe at the
+        target's bare frequency and the tomography frame at its dressed one."""
+        built = []
+        init = OperatingFrame.__init__
+
+        def counting(self, system, frame_frequency=None):
+            built.append(frame_frequency)
+            init(self, system, frame_frequency)
+
+        monkeypatch.setattr(OperatingFrame, "__init__", counting)
+        out = tmp_path / "zx.csv"
+        assert main(["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2",
+                     "--out", str(out)]) == 0
+        assert len(built) == 3
+        header, rows = read_rows(out)
+        assert len(rows) == 2
+        assert all(r[header.index(c)] == "" for r in rows for c in ("error_on", "error_off"))
 
 
 class TestCalibrateCommand:

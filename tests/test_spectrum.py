@@ -1,12 +1,16 @@
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from starkzz import spectrum
 from starkzz.errors import MissingLabelError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
-                               build_rwa_hamiltonian, build_static_hamiltonian,
-                               direct_coupling)
+                               build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,
+                               build_static_hamiltonian, direct_coupling)
 from starkzz.spectrum import (LabeledSpectrum, driven_pair_rates, effective_j,
                               fit_bare_transmons, labeled_spectrum, pair_rates,
                               single_path_equivalent, static_spectrum,
@@ -67,6 +71,71 @@ class TestLabeledSpectrum:
         for absent in ((0,), (0, 0, 0), (-1, 0), (0, 5)):
             with pytest.raises(MissingLabelError):
                 spec.energy(absent)
+
+
+class TestSparseSpectrum:
+    """The shift-invert path, reached on small systems by lowering DENSE_LIMIT."""
+
+    def test_lazy_matches_dense(self, device_a, monkeypatch):
+        system = device_a.with_drives(cancellation_drives())
+        h = build_rwa_hamiltonian_sparse(system, 5.1)
+        dense = labeled_spectrum(h, system.dims, 5.1)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", system.total_dimension - 1)
+        lazy = labeled_spectrum(h, system.dims, 5.1)
+        assert dense.sparse is None and lazy.sparse is not None
+        for label in dense.labels:
+            assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-12)
+            assert lazy.overlap(label) == pytest.approx(dense.overlap(label), abs=1e-9)
+
+    def test_non_hermitian_sparse_rejected(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 2)
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[0, 1] = 0.5
+        h = scipy.sparse.csr_matrix(h)
+        with pytest.raises(ValueError, match="Hermitian"):
+            labeled_spectrum(h, (2, 2))
+
+    def test_each_label_solved_once(self, device_a, monkeypatch):
+        solved = []
+
+        def counting(h, dims, labels, **kwargs):
+            solved.extend(tuple(label) for label in labels)
+            return original(h, dims, labels, **kwargs)
+
+        original = spectrum.targeted_label_energies
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        monkeypatch.setattr(spectrum, "targeted_label_energies", counting)
+        spec = undriven_reference(device_a)
+        assert solved == []
+        energy = spec.energy((1, 0))
+        assert spec.lab_energy((1, 0)) == energy and spec.energy((1, 0)) == energy
+        spec.overlap((1, 0))
+        assert solved == [(1, 0)]
+        pair_rates(spec, reference=spec)
+        assert sorted(solved) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_threads_share_one_solve_per_label(self, device_a, monkeypatch):
+        """Sweep threads read one shared reference; each label is still solved once."""
+        solved = []
+
+        def counting(h, dims, labels, **kwargs):
+            solved.extend(tuple(label) for label in labels)
+            return original(h, dims, labels, **kwargs)
+
+        original = spectrum.targeted_label_energies
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        monkeypatch.setattr(spectrum, "targeted_label_energies", counting)
+        spec = undriven_reference(device_a)
+        labels = spec.labels * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                energies = list(pool.map(spec.energy, labels, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(solved) == sorted(set(labels))
+        assert energies == [spec.energy(label) for label in labels]
 
 
 class TestPairRates:
