@@ -40,13 +40,18 @@ ANGLE_TOLERANCE = 0.01
 
 @dataclass(frozen=True)
 class CancellationSolution:
-    """Per-qubit CW tone settings nulling every pair of a device."""
+    """Per-qubit CW tone settings nulling every pair of a device.
+
+    `min_overlap` is the smallest bare-state overlap among the computational
+    labels that the final verification sweep reads.
+    """
 
     amplitudes: tuple[float, ...]
     phases: tuple[float, ...]
     drive_frequency: float
     residual_zz: tuple[float, ...]
     stark_shifts: tuple[float, ...]
+    min_overlap: float
 
 
 @dataclass
@@ -247,7 +252,8 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
         for i in range(n - 1):
             solve_pair(i)
         final = driven(n - 1)
-        residuals = [pair_rates(final, i, i + 1).zz for i in range(n - 1)]
+        verified = [pair_rates(final, i, i + 1) for i in range(n - 1)]
+        residuals = [rates.zz for rates in verified]
         if max(abs(r) for r in residuals) < tolerance:
             break
     else:
@@ -259,7 +265,8 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     shifts = [stark_shift(final, reference, q) for q in range(n)]
     return CancellationSolution(
         amplitudes=tuple(amplitudes), phases=tuple(phases), drive_frequency=nu_d,
-        residual_zz=tuple(residuals), stark_shifts=tuple(shifts))
+        residual_zz=tuple(residuals), stark_shifts=tuple(shifts),
+        min_overlap=min(rates.min_overlap for rates in verified))
 
 
 # ---------------------------------------------------------------------------

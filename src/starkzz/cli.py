@@ -28,16 +28,17 @@ from .calibrate import (chain_cancellation, calibrate_cnot, calibrate_cz,
                         calibrated_cnot_schedule, calibrated_cz_schedule,
                         cnot_gate_result, cz_gate_result,
                         find_cancellation_amplitude)
-from .config import (apply_override, config_hash, load_config, load_preset,
-                     validate_config, to_system, with_levels)
+from .config import (apply_override, check_transmon_pair, config_hash, load_config,
+                     load_preset, validate_config, to_system, with_levels)
 from .errors import (ConfigError, NonconvergenceError, SingularDetuningError,
                      StarkZZError)
 from .perturbation import (PerturbativeInputs, sizzle_zz, static_zz,
                            zx_with_cancellation)
 from .pulse import (DEFAULT_DT, OperatingFrame, extract_pauli_rates,
                     schedule_to_document)
-from .spectrum import (DRIVE_AXES, apply_drive_axis, driven_pair_rates,
-                       pair_rates, static_spectrum, undriven_reference)
+from .spectrum import (AMBIGUOUS_OVERLAP, DRIVE_AXES, apply_drive_axis,
+                       driven_pair_rates, pair_rates, static_spectrum,
+                       undriven_reference)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -215,6 +216,7 @@ def cmd_zx(args) -> int:
         raise ConfigError("zx requires a two-transmon config")
     q0, q1 = doc["pair"]
     control, target = (args.control, args.target)
+    check_transmon_pair([control, target], system.num_transmons, "--control/--target")
     _, values = _parse_axis(f"omega_cr:{args.amplitudes}")
 
     # One frame per (system, frequency) for all amplitudes: tones on, the operating
@@ -293,6 +295,8 @@ def cmd_calibrate(args) -> int:
             "drive_frequency": solution.drive_frequency,
             "residual_zz": list(solution.residual_zz),
             "stark_shifts": list(solution.stark_shifts),
+            "min_overlap": solution.min_overlap,
+            "labeling_warning": solution.min_overlap < AMBIGUOUS_OVERLAP,
         }
         transcript_columns = ["pair", "amplitude", "residual_zz"]
         transcript_rows = [
@@ -302,6 +306,8 @@ def cmd_calibrate(args) -> int:
         print(f"chain cancelled: worst residual {worst * 1e6:.3f} kHz, "
               f"max shift {max(abs(s) for s in solution.stark_shifts) * 1e3:.3f} MHz")
     elif args.gate in ("cnot", "cz"):
+        check_transmon_pair([args.control, args.target], system.num_transmons,
+                            "--control/--target")
         pair = {"control": args.control, "target": args.target}
         if args.gate == "cnot":
             cal = calibrate_cnot(system, args.duration, dt=args.dt, **pair)

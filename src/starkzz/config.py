@@ -50,6 +50,14 @@ def _check_keys(mapping, allowed, path):
                               f"{path}.{key}" if path else key)
 
 
+def check_transmon_pair(pair, num_transmons: int, path: str) -> None:
+    """`pair` must be two distinct transmon indices; `path` names it in the error."""
+    if (len(pair) != 2 or not all(type(q) is int and 0 <= q < num_transmons for q in pair)
+            or pair[0] == pair[1]):
+        raise ConfigError(f"must be two distinct transmon indices in "
+                          f"[0, {num_transmons - 1}], got {list(pair)}", path)
+
+
 def validate_config(document: dict) -> dict:
     """Validate a config document against the strict schema.
 
@@ -86,11 +94,7 @@ def validate_config(document: dict) -> dict:
         if role not in ("cancellation", "gate"):
             raise ConfigError("role must be 'cancellation' or 'gate'",
                               f"drives[{i}].role")
-    pair = doc.setdefault("pair", [0, 1])
-    if (len(pair) != 2 or not all(type(q) is int and 0 <= q < len(transmons) for q in pair)
-            or pair[0] == pair[1]):
-        raise ConfigError(f"must be two distinct transmon indices in "
-                          f"[0, {len(transmons) - 1}], got {pair}", "pair")
+    check_transmon_pair(doc.setdefault("pair", [0, 1]), len(transmons), "pair")
     doc.setdefault("couplings", [])
     doc.setdefault("drives", [])
     doc.setdefault("frequencies_are_dressed", False)

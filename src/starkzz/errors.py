@@ -22,7 +22,7 @@ class MissingLabelError(StarkZZError):
 
 
 class SolverFailureError(StarkZZError):
-    """A numerical solve (bare-parameter fit, shift-inverted eigensolve) failed."""
+    """A numerical solve (bare-parameter fit, Davidson label solve) failed."""
 
 
 class StepSizeError(StarkZZError):

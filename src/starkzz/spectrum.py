@@ -19,7 +19,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (ConfigError, MissingLabelError, NonPerturbativeRegimeError,
                      SolverFailureError)
@@ -33,8 +32,12 @@ from .perturbation import SEED_J_FLOOR, PerturbativeInputs, sizzle_zz_induced
 #: Below this overlap a label assignment is ambiguous (`PairRates.ambiguous`).
 AMBIGUOUS_OVERLAP = 0.5
 #: Largest Hilbert dimension that `labeled_spectrum` decomposes densely;
-#: above it each requested label gets its own shift-inverted sparse solve.
+#: above it each requested label gets its own Davidson solve.
 DENSE_LIMIT = 1024
+DAVIDSON_TOLERANCE = 1e-10  # residual norm (GHz) at which a label solve has converged
+DAVIDSON_MAX_BASIS = 80  # basis size at which a solve restarts from its Ritz vector
+DAVIDSON_MAX_ITERATIONS = 500  # steps before a solve raises SolverFailureError
+DAVIDSON_SHIFT_FLOOR = 1e-8  # least |diag H - theta| (GHz) in the preconditioner
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class LabeledSpectrum:
     overlaps: np.ndarray
     frame_frequency: float
     dims: tuple[int, ...]
-    sparse: scipy.sparse.csc_matrix | None = None
+    sparse: scipy.sparse.csr_matrix | None = None
     # sweep threads share a reference spectrum; a slot is solved under the lock
     _solving: threading.Lock = field(default_factory=threading.Lock, repr=False,
                                      compare=False)
@@ -124,7 +127,7 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
         unsolved = np.full(dim, np.nan)
         return LabeledSpectrum(energies=unsolved, overlaps=unsolved.copy(),
                                frame_frequency=frame_frequency, dims=dims,
-                               sparse=scipy.sparse.csc_matrix(h))
+                               sparse=scipy.sparse.csr_matrix(h))
     vals, vecs = scipy.linalg.eigh(h.toarray() if scipy.sparse.issparse(h) else h)
     bare_of_eig = assign_labels(vecs)
     order = np.argsort(bare_of_eig)  # eigenvector columns in bare-index order
@@ -337,44 +340,47 @@ def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
         "even at the smallest probe amplitudes")
 
 
-def targeted_label_energies(h_sparse, dims, labels,
-                            num_candidates: int = 6) -> dict[tuple, tuple[float, float]]:
-    """Energies of specific bare labels via shift-inverted sparse solves.
+def targeted_label_energies(h_sparse, dims, labels) -> dict[tuple, tuple[float, float]]:
+    """{label: (energy, overlap)}, one Davidson solve per label.
 
-    For weakly dressed systems each requested eigenstate sits close to its
-    bare diagonal energy; a few shift-inverted Lanczos vectors around that
-    guess contain it, and the candidate with maximum bare overlap is
-    selected.  Returns {label: (energy, overlap)}.  Much cheaper than a
-    full dense decomposition for large chains.
-    """
-    dims = tuple(int(d) for d in dims)
-    dim = math.prod(dims)
-    h_csc = h_sparse.tocsc()
-    diag = h_sparse.diagonal()
+    Start at the bare unit vector, keep the Ritz pair of largest bare overlap, grow
+    by r / (diag H - theta) orthogonalised twice (Davidson 1975; Morgan & Scott 1986)."""
+    h = scipy.sparse.csr_matrix(h_sparse)
+    dim = h.shape[0]
+    diag = h.diagonal().real
     out = {}
-    for label in labels:
-        label = tuple(label)
+    for label in map(tuple, labels):
         idx = bare_index(label, dims)
-        v0 = np.zeros(dim, dtype=complex)
-        v0[idx] = 1.0
-        k = min(num_candidates, dim - 2)
-        vals = vecs = None
-        # The bare guess can coincide with an exact eigenvalue (e.g. the
-        # undriven ground state), making the shifted factorization singular;
-        # nudge the shift until it factors.
-        for offset in (1e-6, 7e-6, 5e-5, 4e-4):
-            sigma = float(np.real(diag[idx])) + offset
-            try:
-                vals, vecs = scipy.sparse.linalg.eigsh(h_csc, k=k, sigma=sigma,
-                                                       v0=v0, which="LM")
+        basis = np.zeros((dim, DAVIDSON_MAX_BASIS), h.dtype)
+        image = np.zeros((dim, DAVIDSON_MAX_BASIS), h.dtype)  # h @ basis
+        projected = np.zeros((DAVIDSON_MAX_BASIS,) * 2, h.dtype)  # upper half: basis^H image
+        t = np.eye(1, dim, idx, dtype=h.dtype)[0]
+        m = 0
+        for _ in range(DAVIDSON_MAX_ITERATIONS):
+            for _ in range(2):
+                t -= basis[:, :m] @ (basis[:, :m].conj().T @ t)
+            basis[:, m] = t / np.linalg.norm(t)
+            image[:, m] = h @ basis[:, m]
+            projected[:m + 1, m] = basis[:, :m + 1].conj().T @ image[:, m]
+            m += 1
+            thetas, coeffs = np.linalg.eigh(projected[:m, :m], UPLO="U")
+            k = np.argmax(np.abs(basis[idx, :m] @ coeffs))
+            theta = thetas[k]
+            ritz = basis[:, :m] @ coeffs[:, k]
+            h_ritz = image[:, :m] @ coeffs[:, k]
+            if np.linalg.norm(h_ritz - theta * ritz) < DAVIDSON_TOLERANCE:
                 break
-            except RuntimeError:
-                continue
-        if vals is None:
-            raise SolverFailureError(f"shift-inverted solve failed for label {label}")
-        weights = np.abs(vecs[idx, :]) ** 2
-        best = int(np.argmax(weights))
-        out[label] = (float(vals[best]), float(weights[best]))
+            if m == DAVIDSON_MAX_BASIS:  # restart from the Ritz vector
+                basis[:, 0] = ritz
+                image[:, 0] = h_ritz
+                projected[0, 0] = theta
+                m = 1
+            shifted = diag - theta
+            shifted[np.abs(shifted) < DAVIDSON_SHIFT_FLOOR] = DAVIDSON_SHIFT_FLOOR
+            t = (h_ritz - theta * ritz) / shifted
+        else:
+            raise SolverFailureError(f"Davidson solve for label {label} did not converge")
+        out[label] = (float(theta), float(abs(ritz[idx]) ** 2))
     return out
 
 

@@ -14,7 +14,8 @@ from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
 from starkzz.perturbation import (PerturbativeInputs, sizzle_zz_induced,
                                   static_zz)
 from starkzz import spectrum
-from starkzz.spectrum import driven_pair_rates, undriven_reference
+from starkzz.spectrum import (driven_pair_rates, pair_rates, rwa_spectrum,
+                              undriven_reference)
 
 NU_D = 5.1
 
@@ -193,6 +194,18 @@ class TestChainCancellation:
         assert lazy.amplitudes == pytest.approx(dense.amplitudes, rel=1e-9)
         assert lazy.stark_shifts == pytest.approx(dense.stark_shifts, rel=1e-9)
         assert lazy.residual_zz == pytest.approx(dense.residual_zz, abs=1e-12)
+        assert lazy.min_overlap == pytest.approx(dense.min_overlap, abs=1e-9)
+
+    def test_min_overlap_is_the_verified_labels_minimum(self):
+        chain = small_chain(3, (4.93, 4.99, 4.95), (-0.29, -0.291, -0.289),
+                            (0.0014, 0.0013))
+        solution = chain_cancellation(chain, NU_D, seed_stark_shift=8e-4)
+        final = rwa_spectrum(chain.with_drives(tuple(
+            DriveTone(i, amp, NU_D, phase) for i, (amp, phase)
+            in enumerate(zip(solution.amplitudes, solution.phases)) if amp > 0.0)), NU_D)
+        assert solution.min_overlap == min(
+            pair_rates(final, i, i + 1).min_overlap for i in range(2))
+        assert 0.5 < solution.min_overlap < 1.0
 
     def test_drive_below_qubits_rejected(self):
         chain = small_chain(2, (5.2, 4.99), (-0.29, -0.29), (0.0014,))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from starkzz import config
+from starkzz import config, spectrum
+from starkzz.calibrate import chain_cancellation
 from starkzz.cli import main
 from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
@@ -108,6 +109,14 @@ class TestZzCommand:
                      "--out", str(tmp_path / "zz.json")])
         assert code == 4
         assert "bare-parameter fit failed" in capsys.readouterr().err
+
+    def test_sparse_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        monkeypatch.setattr(spectrum, "DAVIDSON_MAX_ITERATIONS", 1)
+        code = main(["zz", "--preset", "device-a", "--out", str(tmp_path / "zz.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "SolverFailureError" in err and "for label (" in err
 
     def test_requires_exactly_one_source(self):
         assert main(["zz"]) == 2
@@ -302,8 +311,35 @@ class TestZxCommand:
         assert len(rows) == 2
         assert all(r[header.index(c)] == "" for r in rows for c in ("error_on", "error_off"))
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--target", "5"], "got [1, 5]"), (["--control", "-1"], "got [-1, 0]"),
+        (["--control", "0"], "got [0, 0]")])
+    def test_control_and_target_checked(self, tmp_path, capsys, flags, named):
+        for command in (["zx", "--amplitudes", "0.008:0.01:2"], ["calibrate", "cnot"],
+                        ["calibrate", "cz"]):
+            assert main([*command, "--preset", "device-a", *flags,
+                         "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "config error: --control/--target: must be two distinct" in err
+            assert named in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrateCommand:
+    def test_chain_reports_label_quality(self, tmp_path):
+        doc = load_preset("device-b-chain")
+        cut = {"transmons": doc["transmons"][:3],
+               "couplings": [c for c in doc["couplings"] if max(c["endpoints"]) < 3]}
+        out = tmp_path / "chain.json"
+        argv = ["calibrate", "chain", "--preset", "device-b-chain", "--out", str(out)]
+        for key, value in cut.items():
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        assert main(argv) == 0
+        result = json.loads(out.read_text())
+        solution = chain_cancellation(to_system(dict(doc, **cut)), 5.1)
+        assert result["min_overlap"] == solution.min_overlap
+        assert result["labeling_warning"] is (solution.min_overlap < AMBIGUOUS_OVERLAP)
+
     def test_cancel_device_b(self, tmp_path):
         out = tmp_path / "cancel.json"
         code = main(["calibrate", "cancel", "--preset", "device-b-pair",

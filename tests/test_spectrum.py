@@ -7,14 +7,16 @@ import pytest
 import scipy.sparse
 
 from starkzz import spectrum
-from starkzz.errors import MissingLabelError
+from starkzz.config import load_preset, to_system
+from starkzz.errors import MissingLabelError, SolverFailureError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,
-                               build_static_hamiltonian, direct_coupling)
-from starkzz.spectrum import (LabeledSpectrum, driven_pair_rates, effective_j,
-                              fit_bare_transmons, labeled_spectrum, pair_rates,
-                              single_path_equivalent, static_spectrum,
-                              undriven_reference, zz_vs_parameter)
+                               build_static_hamiltonian, computational_labels,
+                               direct_coupling)
+from starkzz.spectrum import (AMBIGUOUS_OVERLAP, LabeledSpectrum, driven_pair_rates,
+                              effective_j, fit_bare_transmons, labeled_spectrum,
+                              pair_rates, rwa_spectrum, single_path_equivalent,
+                              static_spectrum, undriven_reference, zz_vs_parameter)
 
 NU_D_FIG1 = 5.075
 
@@ -74,18 +76,52 @@ class TestLabeledSpectrum:
 
 
 class TestSparseSpectrum:
-    """The shift-invert path, reached on small systems by lowering DENSE_LIMIT."""
+    """The Davidson path, reached on small systems by lowering DENSE_LIMIT."""
 
     def test_lazy_matches_dense(self, device_a, monkeypatch):
-        system = device_a.with_drives(cancellation_drives())
-        h = build_rwa_hamiltonian_sparse(system, 5.1)
-        dense = labeled_spectrum(h, system.dims, 5.1)
-        monkeypatch.setattr(spectrum, "DENSE_LIMIT", system.total_dimension - 1)
-        lazy = labeled_spectrum(h, system.dims, 5.1)
+        """A 3-vector basis restarts every solve; phase 0.7 makes H complex."""
+        for phi in (math.pi, 0.7):
+            system = device_a.with_drives(cancellation_drives(phi=phi))
+            h = build_rwa_hamiltonian_sparse(system, 5.1)
+            assert phi == math.pi or np.abs(h.imag).max() > 1e-3
+            dense = labeled_spectrum(h, system.dims, 5.1)
+            monkeypatch.setattr(spectrum, "DENSE_LIMIT", system.total_dimension - 1)
+            for max_basis in (spectrum.DAVIDSON_MAX_BASIS, 3):
+                monkeypatch.setattr(spectrum, "DAVIDSON_MAX_BASIS", max_basis)
+                lazy = labeled_spectrum(h, system.dims, 5.1)
+                assert dense.sparse is None and lazy.sparse is not None
+                for label in dense.labels:
+                    assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-12)
+                    assert lazy.overlap(label) == pytest.approx(dense.overlap(label), abs=1e-9)
+            monkeypatch.undo()
+
+    def test_chain_labels_match_dense(self, monkeypatch):
+        """Labels whose dressed state is not among the eigenvalues nearest
+        the bare energy: the first six transmons of device-b-chain under
+        alternating 0/pi tones (a shift-invert solve returned (0,1,1,0,0,0)
+        at overlap 3e-4, 2.9 MHz off)."""
+        doc = load_preset("device-b-chain")
+        doc = dict(doc, transmons=doc["transmons"][:6],
+                   couplings=[c for c in doc["couplings"] if max(c["endpoints"]) < 6])
+        amplitudes = (0.012, 0.030, 0.020, 0.035, 0.020, 0.030)
+        system = to_system(doc).with_drives(tuple(
+            DriveTone(i, amp, 5.1, math.pi * (i % 2)) for i, amp in enumerate(amplitudes)))
+        dense = rwa_spectrum(system, 5.1)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        lazy = rwa_spectrum(system, 5.1)
         assert dense.sparse is None and lazy.sparse is not None
-        for label in dense.labels:
-            assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-12)
-            assert lazy.overlap(label) == pytest.approx(dense.overlap(label), abs=1e-9)
+        for i in range(5):
+            for label in computational_labels(6, i, i + 1):
+                assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-9)
+                assert lazy.overlap(label) >= AMBIGUOUS_OVERLAP
+
+    def test_nonconvergence_names_label(self, device_a, monkeypatch):
+        system = device_a.with_drives(cancellation_drives())
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        monkeypatch.setattr(spectrum, "DAVIDSON_MAX_ITERATIONS", 1)
+        spec = rwa_spectrum(system, 5.1)
+        with pytest.raises(SolverFailureError, match=r"label \(1, 0\)"):
+            spec.energy((1, 0))
 
     def test_non_hermitian_sparse_rejected(self, monkeypatch):
         monkeypatch.setattr(spectrum, "DENSE_LIMIT", 2)
