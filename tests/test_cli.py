@@ -311,6 +311,13 @@ class TestZxCommand:
         assert len(rows) == 2
         assert all(r[header.index(c)] == "" for r in rows for c in ("error_on", "error_off"))
 
+    def test_byte_identical_reruns(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert main(["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2",
+                         "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     @pytest.mark.parametrize("flags, named", [
         (["--target", "5"], "got [1, 5]"), (["--control", "-1"], "got [-1, 0]"),
         (["--control", "0"], "got [0, 0]")])

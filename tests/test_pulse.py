@@ -6,11 +6,13 @@ import pytest
 from starkzz.errors import StepSizeError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                direct_coupling)
-from starkzz.pulse import (BARRIER, STEP_CHUNK, TWO_PI, Envelope, EnvelopeKind,
-                           FrameChange, OperatingFrame, Play, PulseSchedule,
-                           block_leakage, extract_pauli_rates, gate_fidelity,
-                           propagate, sample_envelope, _DriveTerm, _evolve,
-                           _fit_rotation, _ordered_product, _rotation_model)
+from starkzz import pulse
+from starkzz.pulse import (BARRIER, STEP_CHUNK, TAYLOR_THETA, TWO_PI, Envelope,
+                           EnvelopeKind, FrameChange, OperatingFrame, Play,
+                           PulseSchedule, block_leakage, extract_pauli_rates,
+                           gate_fidelity, propagate, sample_envelope, _DriveTerm,
+                           _evolve, _fit_rotation, _ordered_product,
+                           _rotation_model, _step_exponentials)
 from starkzz.spectrum import driven_pair_rates, undriven_reference
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -204,12 +206,46 @@ def count_eigh(monkeypatch):
     return calls
 
 
+def count_step_stacks(monkeypatch):
+    """Record the shape of every stack passed to `_step_exponentials`."""
+    kernel, calls = pulse._step_exponentials, []
+
+    def counted(hams, h):
+        calls.append(hams.shape)
+        return kernel(hams, h)
+
+    monkeypatch.setattr(pulse, "_step_exponentials", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def qutrit_pair_frame():
     system = SystemSpec(
         transmons=(TransmonSpec(4.96, -0.283, 3), TransmonSpec(5.016, -0.287, 3)),
         couplings=(direct_coupling(0, 1, 0.007745),))
     return OperatingFrame(system, 5.0)
+
+
+class TestStepExponentials:
+    """The matmul-only step kernel against the eigenbasis exponential."""
+
+    @pytest.mark.parametrize("dim", [4, 25])
+    @pytest.mark.parametrize("scaled_norm", [0.0, 0.5 * TAYLOR_THETA, 50.0 * TAYLOR_THETA])
+    def test_matches_eigh(self, dim, scaled_norm):
+        """Zero, unsquared and six-times-squared stacks; 2 pi h |H|_1 is the
+        largest scaled 1-norm in the stack."""
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(9, dim, dim)) + 1j * rng.normal(size=(9, dim, dim))
+        hams = x + x.conj().transpose(0, 2, 1)
+        h = 0.05
+        hams *= scaled_norm / (TWO_PI * h * np.abs(hams).sum(axis=1).max())
+        got = _step_exponentials(hams, h)
+        vals, vecs = np.linalg.eigh(hams)
+        phases = np.exp(-1j * TWO_PI * vals * h)[:, None, :]
+        oracle = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
+        for u, ref in zip(got, oracle):
+            assert np.linalg.norm(u - ref) < 1e-13
+            assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) < 1e-13
 
 
 class TestStepping:
@@ -226,19 +262,25 @@ class TestStepping:
         scale = np.linalg.norm(expected)
         assert np.linalg.norm(_ordered_product(mats) - expected) < 1e-12 * scale
 
-    def test_shaped_steps_match_loop(self, qutrit_pair_frame):
+    def test_shaped_steps_match_loop(self, qutrit_pair_frame, monkeypatch):
         """Rise and fall only (no flat top), DRAG and skew quadratures and a
-        detuned carrier: non-commuting steps, 400 per edge (not a multiple
-        of the chunk)."""
+        detuned carrier: non-commuting steps, none of them from an `eigh`.
+        At dt = 0.05 ns each edge is 400 steps (not a multiple of the
+        chunk); at dt = 1 ns the static part alone puts 2 pi h |H|_1 past
+        twice TAYLOR_THETA, so every stack is squared."""
         frame = qutrit_pair_frame
         env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         term = _DriveTerm(target=0, start=0.0, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
         assert (20.0 / 0.05) % STEP_CHUNK != 0
-        u, _ = _evolve(frame, [term], [], 40.0, 0.05)
-        oracle = sequential_run(frame, [term], [20.0, 40.0], 0.05)[-1]
-        assert np.linalg.norm(u - oracle) < 1e-12
+        assert TWO_PI * np.abs(frame.h_static).sum(axis=0).max() > 2 * TAYLOR_THETA
+        calls = count_eigh(monkeypatch)
+        stepped = {dt: _evolve(frame, [term], [], 40.0, dt)[0] for dt in (0.05, 1.0)}
+        assert calls == []
+        for dt, u in stepped.items():
+            oracle = sequential_run(frame, [term], [20.0, 40.0], dt)[-1]
+            assert np.linalg.norm(u - oracle) < 1e-12
 
     def test_periodic_tone_matches_loop(self, qutrit_pair_frame, monkeypatch):
         """A constant detuned tone over 50 periods, with a snapshot in the
@@ -250,7 +292,7 @@ class TestStepping:
                           detuning=-0.0937, phase=0.4)
         stops = [123.45, 537.3]
         assert 537.3 * 0.0937 > 50
-        calls = count_eigh(monkeypatch)
+        calls = count_step_stacks(monkeypatch)
         u, snaps = _evolve(frame, [tone], [], stops[-1], 0.05, snapshot_times=stops)
         assert len(calls) < 40  # stepwise: 10746 steps in 336 chunks
         oracle = sequential_run(frame, [tone], stops, 0.05)
@@ -267,7 +309,7 @@ class TestStepping:
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
-        calls = count_eigh(monkeypatch)
+        calls = count_step_stacks(monkeypatch)
         u, _ = _evolve(frame, [play], [], 270.0, 0.05)
         assert len(calls) < 60  # stepwise: 5080 steps in 159 chunks
         (coarse,) = sequential_run(frame, [play], [270.0], 0.05)
