@@ -24,8 +24,8 @@ from .operators import DriveRole, DriveTone, SystemSpec, basis_label
 from .perturbation import seed_zx_rate
 from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
                     OperatingFrame, Play, PulseSchedule, GateResult,
-                    _bloch_trajectory, _DriveTerm,
-                    _evolve, _fit_rotation, _rotation_model, _rotation_seed,
+                    _bloch_trajectory, _DriveTerm, _evolve, _fit_rotation,
+                    _frame_change_phases, _rotation_model, _rotation_seed,
                     propagate)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
@@ -295,10 +295,28 @@ class _RepeatedGate:
     target: int
     n_reps: int
     dt: float
+    #: Unitaries by propagated schedule; lives for one calibration only.
+    _unitaries: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def unitary(self, schedule: PulseSchedule) -> np.ndarray:
-        return propagate(self.system, schedule, dt=self.dt, q0=self.target,
-                         q1=self.control, frame=self.frame).full_unitary
+        """Operating-frame unitary of `schedule`, each distinct pulse
+        propagated once: frame changes at the end are diagonal phases on the
+        propagation without them; one before the end is propagated whole."""
+        _, frame_changes, end = schedule.timed_items(self.system.num_transmons)
+        if any(t < end - 1e-12 for t, _ in frame_changes):
+            frame_changes = []
+        else:
+            schedule = replace(schedule, items=tuple(
+                item for item in schedule.items if not isinstance(item, FrameChange)))
+        if schedule not in self._unitaries:
+            self._unitaries[schedule] = propagate(
+                self.system, schedule, dt=self.dt, q0=self.target, q1=self.control,
+                frame=self.frame).full_unitary
+        u = self._unitaries[schedule]
+        for _, fc in frame_changes:
+            u = _frame_change_phases(self.frame, fc)[:, None] * u
+        return u
 
     def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
         n_modes = len(self.frame.dims)

@@ -421,7 +421,8 @@ def _step_exponentials(hams: np.ndarray, h: float) -> np.ndarray:
     c = [1.0 / math.factorial(k) for k in range(TAYLOR_DEGREE + 1)]
     u = c[TAYLOR_DEGREE] * a4
     for j in range(TAYLOR_DEGREE - 4, -1, -4):
-        u += sum(c[j + k] * p for k, p in enumerate(powers))
+        for k, p in enumerate(powers):
+            u += c[j + k] * p
         u = u @ a4 if j else u
     for _ in range(squarings):
         u = u @ u
@@ -429,15 +430,32 @@ def _step_exponentials(hams: np.ndarray, h: float) -> np.ndarray:
 
 
 def _midpoint_steps(frame: OperatingFrame, active, t0: float, span: float,
-                    dt: float, u: np.ndarray) -> np.ndarray:
-    """Apply midpoint exponential steps of at most dt over [t0, t0 + span] to u."""
+                    dt: float, u: np.ndarray, within=()) -> tuple[np.ndarray, list]:
+    """Apply midpoint exponential steps of at most dt over [t0, t0 + span] to u.
+
+    Returns u and, at each offset in `within` (in [0, span]), u after the
+    whole steps before that offset and one midpoint step over the rest.
+    """
     n_steps = max(1, math.ceil(span / dt - 1e-9))
     h = span / n_steps
+    ks = np.minimum(np.asarray(within) // h, n_steps).astype(int)
+    keep = set(ks.tolist())
+    kept = {0: u}
     for first in range(0, n_steps, STEP_CHUNK):
-        t_mid = t0 + (np.arange(first, min(n_steps, first + STEP_CHUNK)) + 0.5) * h
+        last = min(n_steps, first + STEP_CHUNK)
+        t_mid = t0 + (np.arange(first, last) + 0.5) * h
         steps = _step_exponentials(_hamiltonians(frame, active, t_mid), h)
-        u = _ordered_product(steps) @ u
-    return u
+        cuts = sorted(k - first for k in keep if first < k < last)
+        for a, b in zip([0, *cuts], [*cuts, last - first]):
+            u = _ordered_product(steps[a:b]) @ u
+            if first + b in keep:
+                kept[first + b] = u
+    if not keep:
+        return u, []
+    deltas = within - ks * h
+    hams = _hamiltonians(frame, active, t0 + ks * h + deltas / 2)
+    rests = _step_exponentials(hams * deltas[:, None, None], 1.0)  # exp(-2 pi i delta H)
+    return u, [rest @ kept[k] for rest, k in zip(rests, ks)]
 
 
 def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: float,
@@ -446,18 +464,18 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
 
     `events` are (time, unitary) insertions applied between intervals in
     time order.  The intervals run between breakpoints: 0, `duration`,
-    events, snapshots and each term's start, end and flat-top edges
-    (start + edge, end - edge).  Over each interval, by its active terms:
+    events and each term's start, end and flat-top edges (start + edge,
+    end - edge).  Over each interval, by its active terms:
 
-    - none: one exact static step;
-    - all flat (CW tones, flat-top middles) at zero detuning: the
-      Hamiltonian is constant, one exact step;
-    - all flat at one nonzero detuning, over at least two periods
-      T = 1/|detuning|: the Hamiltonian is T-periodic (Shirley, Phys. Rev.
-      138, B979 (1965)), so U_T = U(t_a + T, t_a) is stepped once and the
-      interval is U_rest U_T^n, with U_T^n by binary powers and the
-      remainder stepped from t_a, which has the same tone phase;
-    - otherwise: midpoint exponential steps of at most `dt`.
+    - all flat (CW tones, flat-top middles) at one nonzero detuning, over
+      at least two periods T = 1/|detuning|: the Hamiltonian is T-periodic
+      (Shirley, Phys. Rev. 138, B979 (1965)): one period is stepped once,
+      and each snapshot or end t_a + m T + r is U(t_a + r, t_a) U_T^m from
+      its prefix products, so snapshots do not split such a stretch;
+    - otherwise the interval is split at its snapshots and each piece is
+      one exact static step (no active term), one exact step (all flat at
+      zero detuning: a constant Hamiltonian) or midpoint exponential steps
+      of at most `dt`.
 
     Midpoint steps are exponentiated STEP_CHUNK at a time by
     `_step_exponentials` (batched matmuls, no `eigh`) and multiplied in
@@ -473,7 +491,6 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
 
     breakpoints = {0.0, duration}
     breakpoints.update(t for t, _ in events)
-    breakpoints.update(snap_times)
     for term in drive_terms:
         breakpoints.add(min(duration, max(0.0, term.start)))
         if term.envelope is not None:
@@ -499,30 +516,34 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
         ev_pos += 1
 
     for t_a, t_b in zip(grid[:-1], grid[1:]):
-        span = t_b - t_a
-        if span > 1e-12:
-            active = [term for term in drive_terms if term.active_in(t_a, t_b)]
-            flat = all(term.flat_in(t_a, t_b) for term in active)
-            detunings = {term.detuning for term in active}
-            detuning = detunings.pop() if len(detunings) == 1 else None
-            if not active:
-                u = frame.static_step(span) @ u
-            elif flat and detuning == 0.0:
-                vals, vecs = np.linalg.eigh(_hamiltonians(frame, active, [t_a])[0])
-                phases = np.exp(-1j * TWO_PI * vals * span)
-                u = (vecs * phases) @ (vecs.conj().T @ u)
-            elif flat and detuning is not None and span >= 2.0 / abs(detuning):
-                period = 1.0 / abs(detuning)
-                u_period = _midpoint_steps(frame, active, t_a, period, dt,
-                                           np.eye(dim, dtype=complex))
-                n_periods = int(span // period)
-                u = np.linalg.matrix_power(u_period, n_periods) @ u
-                rest = span - n_periods * period
-                if rest > 1e-12:
-                    u = _midpoint_steps(frame, active, t_a, rest, dt, u)
-            else:
-                u = _midpoint_steps(frame, active, t_a, span, dt, u)
-        record_snapshots(t_b)
+        stops = [t for t in snap_times if t_a + 1e-9 < t < t_b - 1e-9] + [t_b]
+        active = [term for term in drive_terms if term.active_in(t_a, t_b)]
+        flat = all(term.flat_in(t_a, t_b) for term in active)
+        detunings = {term.detuning for term in active}
+        detuning = detunings.pop() if len(detunings) == 1 else None
+        if active and flat and detuning and t_b - t_a >= 2.0 / abs(detuning):
+            period = 1.0 / abs(detuning)
+            periods, rests = np.divmod(np.asarray(stops) - t_a, period)
+            u_period, within = _midpoint_steps(frame, active, t_a, period, dt,
+                                               np.eye(dim, dtype=complex), rests)
+            start = u
+            for stop, m, u_rest in zip(stops, periods.astype(int), within):
+                u = u_rest @ (np.linalg.matrix_power(u_period, m) @ start)
+                record_snapshots(stop)
+        else:
+            for s_a, s_b in zip([t_a, *stops], stops):
+                span = s_b - s_a
+                if span <= 1e-12:
+                    pass
+                elif not active:
+                    u = frame.static_step(span) @ u
+                elif flat and detuning == 0.0:
+                    vals, vecs = np.linalg.eigh(_hamiltonians(frame, active, [s_a])[0])
+                    phases = np.exp(-1j * TWO_PI * vals * span)
+                    u = (vecs * phases) @ (vecs.conj().T @ u)
+                else:
+                    u, _ = _midpoint_steps(frame, active, s_a, span, dt, u)
+                record_snapshots(s_b)
         while ev_pos < len(events) and events[ev_pos][0] <= t_b + 1e-12:
             u = events[ev_pos][1] @ u
             ev_pos += 1
@@ -547,12 +568,14 @@ def _schedule_drive_terms(frame: OperatingFrame, schedule: PulseSchedule):
                    detuning=play.carrier_frequency - frame.frame_frequency,
                    phase=play.carrier_phase)
         for start, play in plays]
-    events = [(t, _frame_change_op(frame, fc)) for t, fc in frame_changes]
+    events = [(t, (frame.basis * _frame_change_phases(frame, fc)) @ frame.basis.conj().T)
+              for t, fc in frame_changes]
     return terms, events, duration
 
 
-def _frame_change_op(frame: OperatingFrame, fc: FrameChange) -> np.ndarray:
-    """Virtual-Z: exp(-i angle) per target-mode excitation, dressed basis.
+def _frame_change_phases(frame: OperatingFrame, fc: FrameChange) -> np.ndarray:
+    """Virtual-Z: exp(-i angle) per target-mode excitation, diagonal over
+    the dressed labels (so also on operating-frame unitaries).
 
     Hardware frame changes are bookkeeping on subsequent pulse phases, so
     the equivalent operator is diagonal over the dressed labels the frames
@@ -560,8 +583,7 @@ def _frame_change_op(frame: OperatingFrame, fc: FrameChange) -> np.ndarray:
     parts of the dressed states.
     """
     counts = np.array([label[fc.target] for label in frame.labels], dtype=float)
-    phases = np.exp(-1j * fc.angle * counts)
-    return (frame.basis * phases) @ frame.basis.conj().T
+    return np.exp(-1j * fc.angle * counts)
 
 
 def default_frame_frequency(system: SystemSpec, schedule: PulseSchedule) -> float:

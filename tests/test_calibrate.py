@@ -4,15 +4,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from starkzz.calibrate import (CzCalibration, calibrate_cz, chain_cancellation,
-                               driven_zz_rate, find_cancellation_amplitude,
-                               find_cancellation_phase, newton_loop)
+from starkzz import calibrate
+from starkzz.calibrate import (ANGLE_TOLERANCE, CnotCalibration, CzCalibration,
+                               calibrate_cz, calibrated_cz_schedule,
+                               chain_cancellation, driven_zz_rate,
+                               find_cancellation_amplitude,
+                               find_cancellation_phase, newton_loop,
+                               _cnot_schedule, _RepeatedGate)
+from starkzz.config import load_preset, to_system
 from starkzz.errors import (CancellationUnreachableError,
                             InsufficientAmplitudeError, NonconvergenceError)
 from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
                                direct_coupling)
 from starkzz.perturbation import (PerturbativeInputs, sizzle_zz_induced,
                                   static_zz)
+from starkzz.pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
+                           OperatingFrame, Play, PulseSchedule, propagate)
 from starkzz import spectrum
 from starkzz.spectrum import (driven_pair_rates, pair_rates, rwa_spectrum,
                               undriven_reference)
@@ -272,6 +279,79 @@ class TestCzDegenerate:
             from starkzz.calibrate import calibrate_cz
             calibrate_cz(cw, 200.0, 4.9, 0.0, control=1, target=0,
                          max_iterations=6)
+
+
+@pytest.fixture(scope="module")
+def preset_a():
+    """The device-a preset with its CW cancellation tones, as the CLI runs it."""
+    return to_system(load_preset("device-a"))
+
+
+def gate_of(system):
+    return _RepeatedGate(system, OperatingFrame(system), control=1, target=0,
+                         n_reps=17, dt=DEFAULT_DT)
+
+
+def count_propagations(monkeypatch):
+    """Record the schedule of every `propagate` call the calibrations make."""
+    calls = []
+
+    def counted(system, schedule, **kw):
+        calls.append(schedule)
+        return propagate(system, schedule, **kw)
+
+    monkeypatch.setattr(calibrate, "propagate", counted)
+    return calls
+
+
+class TestRepeatedGateMemo:
+    """`_RepeatedGate.unitary` propagates each distinct pulse once and puts
+    trailing frame changes on as operating-frame phases."""
+
+    def test_trailing_frame_changes_match_propagation(self, preset_a):
+        gate = gate_of(preset_a)
+        cal = CnotCalibration(
+            control_amplitude=0.024, target_amplitude=0.0026, control_phase=-0.04,
+            target_phase=-0.04, target_drag=-0.52, target_skew=-0.0037,
+            target_frame_change=-0.09, control_frame_change=2.38, duration=90.0)
+        sched = _cnot_schedule(cal, gate.frame.dressed_frequency(0), 1, 0, 10.0, 2.0)
+        whole = propagate(preset_a, sched, frame=gate.frame).full_unitary
+        assert np.linalg.norm(gate.unitary(sched) - whole) < 1e-12
+
+    def test_early_frame_change_propagated_whole(self, preset_a, monkeypatch):
+        gate = gate_of(preset_a)
+        env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 0.02, 60.0, 10.0, 2.0)
+        sched = PulseSchedule((FrameChange(0.7, 0),
+                               Play(env, gate.frame.dressed_frequency(0), 0.3, 0),
+                               FrameChange(-0.4, 1)))
+        calls = count_propagations(monkeypatch)
+        u = gate.unitary(sched)
+        assert calls == [sched]
+        whole = propagate(preset_a, sched, frame=gate.frame).full_unitary
+        assert np.linalg.norm(u - whole) < 1e-12
+
+    def test_control_frame_propagates_each_pulse_once(self, preset_a, monkeypatch):
+        gate = gate_of(preset_a)
+        cal = CzCalibration(
+            control_amplitude=0.03, target_amplitude=0.026, relative_phase=0.0,
+            target_frame_change=-0.21, control_frame_change=0.0,
+            gate_frequency=4.9, duration=200.0)
+        calls = count_propagations(monkeypatch)
+        gate.set_control_frame(cal, calibrated_cz_schedule, "z", ANGLE_TOLERANCE)
+        rows = [r for r in cal.transcript if r["iteration"] == "control-frame"]
+        assert len(rows) >= 2
+        assert len(calls) == 1
+
+    def test_memo_lasts_one_calibration(self, preset_a, monkeypatch):
+        """A second calibration in the same process propagates as much as
+        the first: nothing is replayed from the first one's memo."""
+        calls = count_propagations(monkeypatch)
+        first = calibrate_cz(preset_a, 200.0, 4.9, 0.026)
+        per_run = len(calls)
+        second = calibrate_cz(preset_a, 200.0, 4.9, 0.026)
+        assert per_run > 0
+        assert len(calls) == 2 * per_run
+        assert second == first
 
 
 @dataclass

@@ -356,6 +356,15 @@ class TestCalibrateCommand:
         assert result["amplitudes"][0] == pytest.approx(15e-3, rel=0.2)
         assert abs(result["residual_zz"]) < 5e-6
 
+    def test_cz_byte_identical_reruns(self, tmp_path):
+        runs = [(tmp_path / f"{name}.json", tmp_path / f"{name}.csv") for name in "ab"]
+        for out, transcript in runs:
+            assert main(["calibrate", "cz", "--preset", "device-a", "--duration", "200",
+                         "--gate-frequency", "4.9", "--gate-amplitude", "0.026",
+                         "--out", str(out), "--transcript", str(transcript)]) == 0
+        for first, second in zip(*runs):
+            assert first.read_bytes() == second.read_bytes()
+
     def test_cz_zero_amplitude_exit_code(self, tmp_path, capsys):
         code = main(["calibrate", "cz", "--preset", "device-a",
                      "--duration", "200.0", "--gate-amplitude", "0.0",

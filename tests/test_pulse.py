@@ -284,9 +284,9 @@ class TestStepping:
 
     def test_periodic_tone_matches_loop(self, qutrit_pair_frame, monkeypatch):
         """A constant detuned tone over 50 periods, with a snapshot in the
-        middle of a period: both intervals end in a partial period.  The
+        middle of a period: both stops fall in a partial period.  The
         result agrees with the stepwise oracle within the oracle's own
-        step error, from one period and one remainder per interval."""
+        step error, from one period stepped once for the whole stretch."""
         frame = qutrit_pair_frame
         tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
                           detuning=-0.0937, phase=0.4)
@@ -301,6 +301,43 @@ class TestStepping:
         for got, coarse, ref in zip(snaps, oracle, fine):
             step_error = np.linalg.norm(coarse - ref)
             assert np.linalg.norm(got - coarse) < step_error
+
+    def test_snapshots_do_not_split_periodic_stretch(self, qutrit_pair_frame,
+                                                     monkeypatch):
+        """21 snapshots over about 30 periods, as the tomography takes them:
+        the period is stepped once, the snapshots add one stack of short
+        steps, and each snapshot is within the oracle's own step error."""
+        frame = qutrit_pair_frame
+        tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
+                          detuning=-0.0937, phase=0.4)
+        times = np.linspace(0.0, 30.3 / 0.0937, 21)
+        calls = count_step_stacks(monkeypatch)
+        u, snaps = _evolve(frame, [tone], [], times[-1], 0.05, snapshot_times=times)
+        n_period = math.ceil(1.0 / 0.0937 / 0.05)
+        assert len(calls) <= math.ceil(n_period / STEP_CHUNK) + 21 + 2
+        oracle = sequential_run(frame, [tone], times[1:], 0.05)
+        fine = sequential_run(frame, [tone], times[1:], 0.025)
+        assert len(snaps) == 21 and np.array_equal(u, snaps[-1])
+        assert np.array_equal(snaps[0], np.eye(frame.dim))
+        for got, coarse, ref in zip(snaps[1:], oracle, fine):
+            assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
+
+    def test_snapshots_split_shaped_and_idle_stretches(self, qutrit_pair_frame):
+        """Outside periodic stretches snapshots still split the steps: in
+        the idle before and after a shaped-only Play and inside its rise and
+        fall the snapshots match the oracle stepped between the same stops."""
+        frame = qutrit_pair_frame
+        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
+                       10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
+        play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
+                          detuning=0.0937, phase=0.4)
+        snap_times = [3.0, 15.0, 33.0, 49.0]
+        _, snaps = _evolve(frame, [play], [], 50.0, 0.05, snapshot_times=snap_times)
+        stops = [3.0, 7.5, 15.0, 27.5, 33.0, 47.5, 49.0]
+        oracle = dict(zip(stops, sequential_run(frame, [play], stops, 0.05)))
+        assert len(snaps) == len(snap_times)
+        for t, got in zip(snap_times, snaps):
+            assert np.linalg.norm(got - oracle[t]) < 1e-12
 
     def test_flat_top_play_matches_loop(self, qutrit_pair_frame, monkeypatch):
         """A detuned flat-top Play whose flat middle spans 20 periods."""
