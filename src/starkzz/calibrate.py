@@ -20,13 +20,12 @@ import scipy.optimize
 
 from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
-from .operators import DriveRole, DriveTone, SystemSpec, basis_label
+from .operators import DriveRole, DriveTone, SystemSpec, bare_index, basis_label
 from .perturbation import seed_zx_rate
 from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
                     OperatingFrame, Play, PulseSchedule, GateResult,
                     _bloch_trajectory, _DriveTerm, _evolve, _fit_rotation,
-                    _frame_change_phases, _rotation_model, _rotation_seed,
-                    propagate)
+                    _frame_change_phases, propagate)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -319,12 +318,11 @@ class _RepeatedGate:
         return u
 
     def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
-        n_modes = len(self.frame.dims)
+        dims = self.frame.dims
         psi = np.zeros(self.frame.dim, dtype=complex)
-        i_lo = self.frame._label_pos(
-            basis_label(n_modes, {self.control: control_state}))
-        i_hi = self.frame._label_pos(
-            basis_label(n_modes, {self.control: control_state, self.target: 1}))
+        i_lo = bare_index(basis_label(len(dims), {self.control: control_state}), dims)
+        i_hi = bare_index(
+            basis_label(len(dims), {self.control: control_state, self.target: 1}), dims)
         if target_axis == "z":
             psi[i_lo] = 1.0
         elif target_axis == "x":
@@ -349,22 +347,8 @@ class _RepeatedGate:
         times = np.arange(self.n_reps + 1, dtype=float)
         trajs = [self._trajectory(u_op, self.target, self._prep(control_state, axis))
                  for axis in ("z", "x")]
-
-        def residual(params):
-            parts = [(_rotation_model(params, times, traj[0]) - traj).ravel()
-                     for traj in trajs]
-            return np.concatenate(parts)
-
-        seeds = [desired / TWO_PI, _rotation_seed(times, trajs[0]),
-                 _rotation_seed(times, trajs[1])]
-        best = None
-        for seed in seeds:
-            sol = scipy.optimize.least_squares(residual, seed, method="lm",
-                                               max_nfev=2000)
-            if best is None or sol.cost < best.cost:
-                best = sol
-        v = TWO_PI * best.x
-        return _canonical_rotation(v, desired)
+        params, _ = _fit_rotation(times, *trajs, extra_seeds=[desired / TWO_PI])
+        return _canonical_rotation(TWO_PI * params, desired)
 
     def rotations(self, schedule: PulseSchedule, desired) -> list[np.ndarray]:
         """Target rotation vectors per gate with the control in 0 and in 1,

@@ -20,8 +20,7 @@ import scipy.optimize
 
 from .errors import StepSizeError, TomographyFitError
 from .operators import (DriveRole, SystemSpec, bare_index, basis_label,
-                        build_rwa_hamiltonian, computational_labels,
-                        index_to_label, mode_operators)
+                        build_rwa_hamiltonian, computational_labels, mode_operators)
 from .perturbation import seed_zx_rate
 from .spectrum import assign_labels
 
@@ -226,7 +225,6 @@ class GateResult:
     computational_block: np.ndarray
     leakage: float
     fidelity: float
-    labels: tuple[tuple[int, ...], ...]
     duration: float
 
 
@@ -246,10 +244,12 @@ class OperatingFrame:
     """Dressed-basis context for propagation with always-on tones.
 
     Diagonalizes the static-plus-CW Hamiltonian in the simulation frame,
-    assigns bare labels, and records each mode's dressed frame rate (the
-    dressed single-excitation energy).  Dressed operating frequencies in
-    lab terms are `frame_frequency + eps[mode]`.  CW tones must share the
-    frame frequency; they are part of the static Hamiltonian here.
+    orders the dressed states by bare index (column k of `basis` is the
+    dressed state of bare state k), and records each mode's dressed frame
+    rate (the dressed single-excitation energy).  Dressed operating
+    frequencies in lab terms are `frame_frequency + eps[mode]`.  CW tones
+    must share the frame frequency; they are part of the static Hamiltonian
+    here.
     """
 
     def __init__(self, system: SystemSpec, frame_frequency: float | None = None):
@@ -267,50 +267,34 @@ class OperatingFrame:
 
         self.h_static = build_rwa_hamiltonian(system, self.frame_frequency)
         vals, vecs = np.linalg.eigh(self.h_static)
-        bare_of_eig = assign_labels(vecs)
-        order = np.argsort(bare_of_eig)
-        self.labels = tuple(index_to_label(bare_of_eig[k], self.dims) for k in order)
-        self.energies = vals[order].copy()
-        basis = vecs[:, order].copy()  # columns ordered by bare index
+        order = assign_labels(vecs)
+        self.energies = vals[order]
+        basis = vecs[:, order]
         # Gauge fix: make each dressed state's own bare component real and
         # positive, so conditional phases and rotation senses are consistent
         # across labels (the raw eigensolver phase is arbitrary per column).
-        anchors = np.array([basis[bare_index(lab, self.dims), k]
-                            for k, lab in enumerate(self.labels)])
-        phases = anchors / np.abs(anchors)
-        self.basis = basis * phases.conj()[None, :]
+        anchors = np.diagonal(basis)
+        self.basis = basis * (anchors / np.abs(anchors)).conj()[None, :]
 
+        self.occupations, lowering, raising = mode_operators(self.dims)
         n_modes = len(self.dims)
-        e0 = self.energies[self._label_pos(basis_label(n_modes))]
+        e0 = self.energies[0]
         self.eps = np.array([
-            self.energies[self._label_pos(basis_label(n_modes, {k: 1}))] - e0
+            self.energies[bare_index(basis_label(n_modes, {k: 1}), self.dims)] - e0
             for k in range(n_modes)])
-        # Per-label operating-frame rate, ground energy included so that an
+        # Per-state operating-frame rate, ground energy included so that an
         # ideal idle maps to the identity with no global phase.
-        self.frame_rates = np.array([
-            e0 + sum(e * n for e, n in zip(self.eps, label)) for label in self.labels])
-
-        _, lowering, _ = mode_operators(self.dims)
+        self.frame_rates = e0 + sum(e * n for e, n in zip(self.eps, self.occupations))
         self.lowering = [a.toarray() for a in lowering]
-
-    def _label_pos(self, label) -> int:
-        return bare_index(label, self.dims)
+        self.raising = [a.toarray() for a in raising]
 
     def dressed_frequency(self, mode: int) -> float:
         """Dressed operating frequency of a mode in lab terms (GHz)."""
         return self.frame_frequency + float(self.eps[mode])
 
-    def dressed_state(self, label) -> np.ndarray:
-        return self.basis[:, self._label_pos(label)].copy()
-
     def computational_indices(self, q0: int, q1: int) -> list[int]:
-        return [self._label_pos(label)
+        return [bare_index(label, self.dims)
                 for label in computational_labels(len(self.dims), q0, q1)]
-
-    def static_step(self, span: float) -> np.ndarray:
-        """Exact propagator of the static Hamiltonian over `span` ns."""
-        phases = np.exp(-1j * TWO_PI * self.energies * span)
-        return (self.basis * phases) @ self.basis.conj().T
 
     def operating_phases(self, t: float) -> np.ndarray:
         """Diagonal phase factors moving frame-basis amplitudes at time t."""
@@ -322,15 +306,9 @@ class OperatingFrame:
         return self.operating_phases(t)[:, None] * u_dressed
 
     def qubit_pairings(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-        """Label-index pairs differing only by the qubit's 0/1 occupancy."""
-        idx0, idx1 = [], []
-        for k, label in enumerate(self.labels):
-            if label[qubit] == 0:
-                partner = list(label)
-                partner[qubit] = 1
-                idx0.append(k)
-                idx1.append(self._label_pos(tuple(partner)))
-        return np.asarray(idx0), np.asarray(idx1)
+        """Index pairs differing only by the qubit's 0/1 occupancy."""
+        idx0 = np.flatnonzero(self.occupations[qubit] == 0)
+        return idx0, idx0 + math.prod(self.dims[qubit + 1:])
 
 
 @dataclass
@@ -392,8 +370,8 @@ def _hamiltonians(frame: OperatingFrame, active, times: np.ndarray) -> np.ndarra
     hams = np.repeat(frame.h_static[None], len(times), axis=0)
     for term in active:
         c = term.coefficient(times)[:, None, None]
-        low = frame.lowering[term.target]
-        hams += c * low.conj().T + np.conj(c) * low
+        hams += c * frame.raising[term.target]
+        hams += np.conj(c) * frame.lowering[term.target]
     return hams
 
 
@@ -465,17 +443,17 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     `events` are (time, unitary) insertions applied between intervals in
     time order.  The intervals run between breakpoints: 0, `duration`,
     events and each term's start, end and flat-top edges (start + edge,
-    end - edge).  Over each interval, by its active terms:
+    end - edge).  Over each interval one of two rules applies:
 
-    - all flat (CW tones, flat-top middles) at one nonzero detuning, over
-      at least two periods T = 1/|detuning|: the Hamiltonian is T-periodic
-      (Shirley, Phys. Rev. 138, B979 (1965)): one period is stepped once,
-      and each snapshot or end t_a + m T + r is U(t_a + r, t_a) U_T^m from
-      its prefix products, so snapshots do not split such a stretch;
-    - otherwise the interval is split at its snapshots and each piece is
-      one exact static step (no active term), one exact step (all flat at
-      zero detuning: a constant Hamiltonian) or midpoint exponential steps
-      of at most `dt`.
+    - periodic: every active term is flat (CW tones, flat-top middles) at
+      one detuning, so the Hamiltonian repeats with period T = 1/|detuning|
+      (Shirley, Phys. Rev. 138, B979 (1965)), or with T = dt when it is
+      constant (no active term, or all at zero detuning).  Over at least
+      two periods, one period is stepped once and each snapshot or end
+      t_a + m T + r is U(t_a + r, t_a) U_T^m from its prefix products, so
+      snapshots do not split the stretch;
+    - otherwise the interval is split at its snapshots and each piece takes
+      midpoint exponential steps of at most `dt`.
 
     Midpoint steps are exponentiated STEP_CHUNK at a time by
     `_step_exponentials` (batched matmuls, no `eigh`) and multiplied in
@@ -518,11 +496,12 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     for t_a, t_b in zip(grid[:-1], grid[1:]):
         stops = [t for t in snap_times if t_a + 1e-9 < t < t_b - 1e-9] + [t_b]
         active = [term for term in drive_terms if term.active_in(t_a, t_b)]
-        flat = all(term.flat_in(t_a, t_b) for term in active)
-        detunings = {term.detuning for term in active}
-        detuning = detunings.pop() if len(detunings) == 1 else None
-        if active and flat and detuning and t_b - t_a >= 2.0 / abs(detuning):
-            period = 1.0 / abs(detuning)
+        detunings = {term.detuning for term in active} or {0.0}
+        period = math.inf
+        if len(detunings) == 1 and all(term.flat_in(t_a, t_b) for term in active):
+            detuning = detunings.pop()
+            period = 1.0 / abs(detuning) if detuning else dt
+        if t_b - t_a >= 2.0 * period:
             periods, rests = np.divmod(np.asarray(stops) - t_a, period)
             u_period, within = _midpoint_steps(frame, active, t_a, period, dt,
                                                np.eye(dim, dtype=complex), rests)
@@ -532,17 +511,8 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
                 record_snapshots(stop)
         else:
             for s_a, s_b in zip([t_a, *stops], stops):
-                span = s_b - s_a
-                if span <= 1e-12:
-                    pass
-                elif not active:
-                    u = frame.static_step(span) @ u
-                elif flat and detuning == 0.0:
-                    vals, vecs = np.linalg.eigh(_hamiltonians(frame, active, [s_a])[0])
-                    phases = np.exp(-1j * TWO_PI * vals * span)
-                    u = (vecs * phases) @ (vecs.conj().T @ u)
-                else:
-                    u, _ = _midpoint_steps(frame, active, s_a, span, dt, u)
+                if s_b - s_a > 1e-12:
+                    u, _ = _midpoint_steps(frame, active, s_a, s_b - s_a, dt, u)
                 record_snapshots(s_b)
         while ev_pos < len(events) and events[ev_pos][0] <= t_b + 1e-12:
             u = events[ev_pos][1] @ u
@@ -575,15 +545,14 @@ def _schedule_drive_terms(frame: OperatingFrame, schedule: PulseSchedule):
 
 def _frame_change_phases(frame: OperatingFrame, fc: FrameChange) -> np.ndarray:
     """Virtual-Z: exp(-i angle) per target-mode excitation, diagonal over
-    the dressed labels (so also on operating-frame unitaries).
+    the dressed states (so also on operating-frame unitaries).
 
     Hardware frame changes are bookkeeping on subsequent pulse phases, so
-    the equivalent operator is diagonal over the dressed labels the frames
+    the equivalent operator is diagonal over the dressed states the frames
     track; a bare-mode phase kick would spuriously dephase the hybridized
     parts of the dressed states.
     """
-    counts = np.array([label[fc.target] for label in frame.labels], dtype=float)
-    return np.exp(-1j * fc.angle * counts)
+    return np.exp(-1j * fc.angle * frame.occupations[fc.target])
 
 
 def default_frame_frequency(system: SystemSpec, schedule: PulseSchedule) -> float:
@@ -622,7 +591,6 @@ def propagate(system: SystemSpec, schedule: PulseSchedule, dt: float = DEFAULT_D
         computational_block=block,
         leakage=block_leakage(block),
         fidelity=gate_fidelity(block, target),
-        labels=frame.labels,
         duration=duration)
 
 
@@ -673,22 +641,21 @@ def _rotation_seed(times, trajectory):
     return (axis / norm) * angle / (TWO_PI * dt_step)
 
 
-def _fit_rotation(times, trajectory, extra_seeds=()):
-    """Least-squares single-axis-rotation fit, Procrustes-seeded."""
-    r0 = trajectory[0]
+def _fit_rotation(times, *trajectories, extra_seeds=()):
+    """Least-squares single-axis-rotation fit of trajectories jointly.
 
+    Each trajectory starts from its own first Bloch vector and contributes
+    its own Procrustes seed; the lowest-cost fit over all seeds wins.
+    """
     def residual(params):
-        return (_rotation_model(params, times, r0) - trajectory).ravel()
+        return np.concatenate([(_rotation_model(params, times, traj[0]) - traj).ravel()
+                               for traj in trajectories])
 
-    seeds = [_rotation_seed(times, trajectory)]
+    seeds = [_rotation_seed(times, traj) for traj in trajectories]
     seeds.extend(np.asarray(s, dtype=float) for s in extra_seeds)
-    best = None
-    for guess in seeds:
-        sol = scipy.optimize.least_squares(residual, guess, method="lm",
-                                           max_nfev=2000)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    scale = max(1.0, np.linalg.norm(trajectory))
+    best = min((scipy.optimize.least_squares(residual, guess, method="lm", max_nfev=2000)
+                for guess in seeds), key=lambda sol: sol.cost)
+    scale = max(1.0, np.linalg.norm(np.concatenate(trajectories)))
     rel_resid = math.sqrt(2.0 * best.cost) / scale
     return best.x, rel_resid
 
@@ -730,20 +697,19 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
     # Pilot rate guess from the perturbative conditional rate plus a floor.
     rate_guess = max(seed_zx_rate(system, control, target, cr_amplitude), 2e-4)
 
-    prep_labels = [basis_label(len(frame.dims), {control: s}) for s in (0, 1)]
+    preps = [bare_index(basis_label(len(frame.dims), {control: s}), frame.dims)
+             for s in (0, 1)]
 
     for _ in range(3):
         t_max = 2.0 / rate_guess
         times = np.linspace(0.0, t_max, num_points)
         _, snaps = _evolve(frame, [tone], [], t_max, dt, snapshot_times=times)
+        prepared = [frame.to_operating(u, t)[:, preps] for u, t in zip(snaps, times)]
+        extra = [np.array([s * rate_guess, 0.0, 0.0]) for s in (1.0, -1.0)]
         fitted, residuals = [], []
-        for label in prep_labels:
-            psi0 = frame.dressed_state(label)
-            amps = [frame.operating_phases(t) * (frame.basis.conj().T @ (u @ psi0))
-                    for u, t in zip(snaps, times)]
-            traj = _bloch_trajectory(frame, target, amps)
-            extra = [np.array([s * rate_guess, 0.0, 0.0]) for s in (1.0, -1.0)]
-            params, rel = _fit_rotation(times, traj, extra)
+        for k in range(2):
+            traj = _bloch_trajectory(frame, target, [cols[:, k] for cols in prepared])
+            params, rel = _fit_rotation(times, traj, extra_seeds=extra)
             fitted.append(params)
             residuals.append(rel)
         dominant = max(np.linalg.norm(p) for p in fitted)
@@ -766,12 +732,9 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
     # Control Stark rate from a control-coherence trajectory with the
     # target idle; the conditional (ZZ) part is removed so the reported ZI
     # follows the same Pauli normalization.
-    psi0 = (frame.dressed_state(prep_labels[0])
-            + frame.dressed_state(prep_labels[1])) / math.sqrt(2.0)
-    amps = [frame.operating_phases(t) * (frame.basis.conj().T @ (u @ psi0))
-            for u, t in zip(snaps, times)]
+    amps = [cols.sum(axis=1) / math.sqrt(2.0) for cols in prepared]
     traj = _bloch_trajectory(frame, control, amps)
     extra = [np.array([0.0, 0.0, z]) for z in (rates["ZZ"], -rates["ZZ"])]
-    params, _ = _fit_rotation(times, traj, extra)
+    params, _ = _fit_rotation(times, traj, extra_seeds=extra)
     rates["ZI"] = params[2] - rates["ZZ"]
     return {k: float(v) for k, v in rates.items()}

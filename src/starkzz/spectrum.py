@@ -25,8 +25,9 @@ from .errors import (ConfigError, MissingLabelError, NonPerturbativeRegimeError,
 # build_rwa_hamiltonian stays importable from here: perfbench's tracer test reads it.
 from .operators import (DriveTone, SystemSpec, bare_index, basis_label,
                         build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,  # noqa: F401
-                        build_static_hamiltonian, computational_labels,
-                        direct_coupling, index_to_label, is_hermitian)
+                        build_static_hamiltonian, build_static_hamiltonian_sparse,
+                        computational_labels, direct_coupling, index_to_label,
+                        is_hermitian)
 from .perturbation import SEED_J_FLOOR, PerturbativeInputs, sizzle_zz_induced
 
 #: Below this overlap a label assignment is ambiguous (`PairRates.ambiguous`).
@@ -91,21 +92,20 @@ class LabeledSpectrum:
 
 
 def assign_labels(vecs: np.ndarray) -> np.ndarray:
-    """Map each eigenvector to a bare basis index, bijectively.
+    """Match eigenvectors to bare basis states, bijectively.
 
     Greedy per-eigenvector argmax is used when it already yields a
     bijection; otherwise the global maximum-weight matching is solved so
     that labels remain well defined near avoided crossings.
-    Returns `bare_of_eig` with bare_of_eig[k] = bare index of column k.
+    Returns the column order: `vecs[:, order]` has bare state b's
+    eigenvector in column b.
     """
     weights = np.abs(vecs) ** 2  # weights[b, k] = |<bare b|eig k>|^2
     greedy = np.argmax(weights, axis=0)
     if len(np.unique(greedy)) == weights.shape[1]:
-        return greedy
-    rows, cols = scipy.optimize.linear_sum_assignment(weights, maximize=True)
-    bare_of_eig = np.empty(weights.shape[1], dtype=int)
-    bare_of_eig[cols] = rows
-    return bare_of_eig
+        return np.argsort(greedy)
+    _, cols = scipy.optimize.linear_sum_assignment(weights, maximize=True)
+    return cols
 
 
 def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
@@ -129,10 +129,9 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
                                frame_frequency=frame_frequency, dims=dims,
                                sparse=scipy.sparse.csr_matrix(h))
     vals, vecs = scipy.linalg.eigh(h.toarray() if scipy.sparse.issparse(h) else h)
-    bare_of_eig = assign_labels(vecs)
-    order = np.argsort(bare_of_eig)  # eigenvector columns in bare-index order
-    return LabeledSpectrum(energies=vals[order].copy(),
-                           overlaps=np.abs(vecs[bare_of_eig[order], order]) ** 2,
+    order = assign_labels(vecs)
+    return LabeledSpectrum(energies=vals[order],
+                           overlaps=np.abs(vecs[np.arange(dim), order]) ** 2,
                            frame_frequency=frame_frequency, dims=dims)
 
 
@@ -427,7 +426,8 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
         trial = replace(system, transmons=tuple(
             replace(t, frequency=nu, anharmonicity=al)
             for t, nu, al in zip(system.transmons, nus, alphas)))
-        spec = labeled_spectrum(build_static_hamiltonian(trial.without_drives()), trial.dims)
+        spec = labeled_spectrum(build_static_hamiltonian_sparse(trial.without_drives()),
+                                trial.dims)
         nu_fit, alpha_fit = dressed_observables(spec)
         return np.concatenate([nu_fit - nu_meas, alpha_fit - alpha_meas])
 

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from starkzz.errors import StepSizeError
-from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
-                               direct_coupling)
+from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec, basis_label,
+                               computational_labels, direct_coupling, index_to_label)
 from starkzz import pulse
 from starkzz.pulse import (BARRIER, STEP_CHUNK, TAYLOR_THETA, TWO_PI, Envelope,
                            EnvelopeKind, FrameChange, OperatingFrame, Play,
                            PulseSchedule, block_leakage, extract_pauli_rates,
                            gate_fidelity, propagate, sample_envelope, _DriveTerm,
-                           _evolve, _fit_rotation, _ordered_product,
-                           _rotation_model, _step_exponentials)
+                           _evolve, _fit_rotation, _frame_change_phases,
+                           _ordered_product, _rotation_model, _step_exponentials)
 from starkzz.spectrum import driven_pair_rates, undriven_reference
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -226,6 +226,37 @@ def qutrit_pair_frame():
     return OperatingFrame(system, 5.0)
 
 
+class TestOperatingFrame:
+    """The frame's index maps on a layout with a bus mode (5, 5 and 3
+    levels), against loops over the occupation tuples of every state."""
+
+    def test_index_maps_match_label_loops(self, device_b_pair):
+        frame = OperatingFrame(device_b_pair, 5.0)
+        assert frame.dims == (5, 5, 3)
+        labels = [index_to_label(k, frame.dims) for k in range(frame.dim)]
+        ground = labels.index((0, 0, 0))
+        eps = [frame.energies[labels.index(basis_label(3, {m: 1}))] - frame.energies[ground]
+               for m in range(3)]
+        rates = [frame.energies[ground] + sum(e * n for e, n in zip(eps, label))
+                 for label in labels]
+        assert frame.frame_rates.tolist() == rates  # same sums in the same order
+        for mode in range(3):
+            idx0 = [k for k, label in enumerate(labels) if label[mode] == 0]
+            idx1 = [labels.index(labels[k][:mode] + (1,) + labels[k][mode + 1:])
+                    for k in idx0]
+            got0, got1 = frame.qubit_pairings(mode)
+            assert got0.tolist() == idx0 and got1.tolist() == idx1
+            phases = [np.exp(-0.37j * label[mode]) for label in labels]
+            assert np.allclose(_frame_change_phases(frame, FrameChange(0.37, mode)),
+                               phases, rtol=0.0, atol=1e-15)
+        for q0, q1 in ((0, 1), (1, 0)):
+            assert frame.computational_indices(q0, q1) == [
+                labels.index(label) for label in computational_labels(3, q0, q1)]
+        # gauge: each dressed state's own bare component is real and positive
+        anchors = np.diagonal(frame.basis)
+        assert np.all(anchors.real > 0.5) and np.allclose(anchors.imag, 0.0, atol=1e-15)
+
+
 class TestStepExponentials:
     """The matmul-only step kernel against the eigenbasis exponential."""
 
@@ -323,9 +354,10 @@ class TestStepping:
             assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
 
     def test_snapshots_split_shaped_and_idle_stretches(self, qutrit_pair_frame):
-        """Outside periodic stretches snapshots still split the steps: in
-        the idle before and after a shaped-only Play and inside its rise and
-        fall the snapshots match the oracle stepped between the same stops."""
+        """Inside the rise and fall of a shaped-only Play snapshots split the
+        steps and match the oracle stepped between the same stops.  The idle
+        before and after the Play is a constant stretch: it is not split,
+        and its snapshots, from powers of one dt step, match the oracle too."""
         frame = qutrit_pair_frame
         env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
@@ -337,6 +369,25 @@ class TestStepping:
         oracle = dict(zip(stops, sequential_run(frame, [play], stops, 0.05)))
         assert len(snaps) == len(snap_times)
         for t, got in zip(snap_times, snaps):
+            assert np.linalg.norm(got - oracle[t]) < 1e-12
+
+    def test_constant_stretches_without_eigh(self, qutrit_pair_frame, monkeypatch):
+        """Idle stretches and the flat top of a zero-detuning Play are
+        constant Hamiltonians, stepped as periodic stretches of period dt:
+        no `eigh`, and every snapshot matches the stepwise oracle."""
+        frame = qutrit_pair_frame
+        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 60.0,
+                       10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
+        play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
+                          detuning=0.0, phase=0.4)
+        snap_times = [3.0, 33.0, 40.0, 70.0]
+        calls = count_eigh(monkeypatch)
+        u, snaps = _evolve(frame, [play], [], 80.0, 0.05, snapshot_times=snap_times)
+        assert calls == []
+        stops = [3.0, 7.5, 27.5, 33.0, 40.0, 47.5, 67.5, 70.0, 80.0]
+        oracle = dict(zip(stops, sequential_run(frame, [play], stops, 0.05)))
+        assert len(snaps) == len(snap_times)
+        for t, got in zip([*snap_times, 80.0], [*snaps, u]):
             assert np.linalg.norm(got - oracle[t]) < 1e-12
 
     def test_flat_top_play_matches_loop(self, qutrit_pair_frame, monkeypatch):
@@ -437,6 +488,21 @@ class TestRotationFit:
             recovered[sign] = params[0]
         zx = 0.5 * (recovered[+1.0] - recovered[-1.0])
         assert zx == pytest.approx(c / 2.0, rel=1e-3)
+
+    def test_joint_fit_of_two_trajectories(self):
+        """A rotation about z leaves a ground-state trajectory still, so
+        alone it fits no rate; fit jointly with an equator trajectory, both
+        contribute residuals and seeds and the rate is recovered."""
+        c = 1.7e-3
+        times = np.linspace(0.0, 2.0 / c, 21)
+        p_true = np.array([0.0, 0.0, c])
+        still = _rotation_model(p_true, times, np.array([0.0, 0.0, 1.0]))
+        moving = _rotation_model(p_true, times, np.array([1.0, 0.0, 0.0]))
+        alone, _ = _fit_rotation(times, still)
+        assert np.linalg.norm(alone) < 1e-3 * c
+        params, resid = _fit_rotation(times, still, moving)
+        assert resid < 1e-9
+        assert params == pytest.approx(p_true, abs=1e-9 * c)
 
 
 class TestScheduleDocuments:

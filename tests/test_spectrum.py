@@ -339,6 +339,25 @@ class TestBareFit:
     def test_bare_values_differ_from_dressed(self, device_a):
         assert device_a.transmons[0].frequency != pytest.approx(4.960, abs=1e-5)
 
+    def test_sparse_fit_matches_dense(self, device_a, monkeypatch):
+        """Above DENSE_LIMIT the fit never builds a dense Hamiltonian: its
+        labels come from Davidson solves of the sparse one, and the bare
+        parameters agree with the dense fit."""
+        builds = []
+
+        def counting(system):
+            builds.append(system.dims)
+            return build_static_hamiltonian(system)
+
+        monkeypatch.setattr(spectrum, "build_static_hamiltonian", counting)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 16)
+        # the fit reads only the layout and couplings of the system it is given
+        fitted = fit_bare_transmons(device_a, (4.960, 5.016), (-0.283, -0.287))
+        assert builds == []
+        for got, ref in zip(fitted.transmons, device_a.transmons):
+            assert got.frequency == pytest.approx(ref.frequency, abs=1e-12)
+            assert got.anharmonicity == pytest.approx(ref.anharmonicity, abs=1e-12)
+
 
 class TestTruncationConvergence:
     def test_zz_converged_at_five_levels(self, device_a):
