@@ -39,6 +39,8 @@ DAVIDSON_TOLERANCE = 1e-10  # residual norm (GHz) at which a label solve has con
 DAVIDSON_MAX_BASIS = 80  # basis size at which a solve restarts from its Ritz vector
 DAVIDSON_MAX_ITERATIONS = 500  # steps before a solve raises SolverFailureError
 DAVIDSON_SHIFT_FLOOR = 1e-8  # least |diag H - theta| (GHz) in the preconditioner
+REAL_TOLERANCE = 1e-14  # largest |Im H| (GHz) a sparse spectrum drops to solve in real arithmetic
+BARE_FIT_TOLERANCE = 1e-12  # largest |dressed - measured| (GHz) a bare fit may leave
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,11 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
 
     Up to DENSE_LIMIT states this is one dense decomposition with
     bijective bare-state labels; above it the spectrum keeps `h` sparse
-    and solves each label on first use (`targeted_label_energies`).  Each
+    and solves each label on first use (`targeted_label_energies`).  A
+    sparse `h` whose imaginary entries are all within REAL_TOLERANCE (the
+    0/pi tones of a chain, an undriven system) is kept as its real part,
+    so its labels are solved in real arithmetic: the dropped part is
+    antisymmetric and moves the energies only at second order.  Each
     label's overlap is kept; one below AMBIGUOUS_OVERLAP is not fatal
     (`PairRates.ambiguous` reports it for the computational labels).
     """
@@ -124,10 +130,12 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
     if not is_hermitian(h, tol=1e-10):
         raise ValueError("labeled_spectrum requires a Hermitian matrix")
     if dim > DENSE_LIMIT:
+        h = scipy.sparse.csr_matrix(h)
+        if np.abs(h.data.imag).max(initial=0.0) <= REAL_TOLERANCE:
+            h = h.real
         unsolved = np.full(dim, np.nan)
         return LabeledSpectrum(energies=unsolved, overlaps=unsolved.copy(),
-                               frame_frequency=frame_frequency, dims=dims,
-                               sparse=scipy.sparse.csr_matrix(h))
+                               frame_frequency=frame_frequency, dims=dims, sparse=h)
     vals, vecs = scipy.linalg.eigh(h.toarray() if scipy.sparse.issparse(h) else h)
     order = assign_labels(vecs)
     return LabeledSpectrum(energies=vals[order],
@@ -343,7 +351,8 @@ def targeted_label_energies(h_sparse, dims, labels) -> dict[tuple, tuple[float, 
     """{label: (energy, overlap)}, one Davidson solve per label.
 
     Start at the bare unit vector, keep the Ritz pair of largest bare overlap, grow
-    by r / (diag H - theta) orthogonalised twice (Davidson 1975; Morgan & Scott 1986)."""
+    by r / (diag H - theta) orthogonalised twice (Davidson 1975; Morgan & Scott 1986).
+    The solve works in the matrix's dtype, so a real H is solved in real arithmetic."""
     h = scipy.sparse.csr_matrix(h_sparse)
     dim = h.shape[0]
     diag = h.diagonal().real
@@ -356,18 +365,19 @@ def targeted_label_energies(h_sparse, dims, labels) -> dict[tuple, tuple[float, 
         t = np.eye(1, dim, idx, dtype=h.dtype)[0]
         m = 0
         for _ in range(DAVIDSON_MAX_ITERATIONS):
-            for _ in range(2):
-                t -= basis[:, :m] @ (basis[:, :m].conj().T @ t)
+            for _ in range(2):  # conjugate the small products, not the basis
+                t -= basis[:, :m] @ (t.conj() @ basis[:, :m]).conj()
             basis[:, m] = t / np.linalg.norm(t)
             image[:, m] = h @ basis[:, m]
-            projected[:m + 1, m] = basis[:, :m + 1].conj().T @ image[:, m]
+            projected[:m + 1, m] = (image[:, m].conj() @ basis[:, :m + 1]).conj()
             m += 1
             thetas, coeffs = np.linalg.eigh(projected[:m, :m], UPLO="U")
             k = np.argmax(np.abs(basis[idx, :m] @ coeffs))
             theta = thetas[k]
             ritz = basis[:, :m] @ coeffs[:, k]
             h_ritz = image[:, :m] @ coeffs[:, k]
-            if np.linalg.norm(h_ritz - theta * ritz) < DAVIDSON_TOLERANCE:
+            residual = h_ritz - theta * ritz
+            if np.linalg.norm(residual) < DAVIDSON_TOLERANCE:
                 break
             if m == DAVIDSON_MAX_BASIS:  # restart from the Ritz vector
                 basis[:, 0] = ritz
@@ -376,7 +386,7 @@ def targeted_label_energies(h_sparse, dims, labels) -> dict[tuple, tuple[float, 
                 m = 1
             shifted = diag - theta
             shifted[np.abs(shifted) < DAVIDSON_SHIFT_FLOOR] = DAVIDSON_SHIFT_FLOOR
-            t = (h_ritz - theta * ritz) / shifted
+            t = residual / shifted
         else:
             raise SolverFailureError(f"Davidson solve for label {label} did not converge")
         out[label] = (float(theta), float(abs(ritz[idx]) ** 2))
@@ -433,9 +443,14 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
 
     x0 = np.concatenate([nu_meas, alpha_meas])
     sol = scipy.optimize.root(residual, x0, method="hybr", tol=1e-12)
-    if not sol.success:
+    # hybr's success flag judges its last steps, not the match: a stop at a
+    # rounding-level residual is a fit, a "successful" stop far off is not
+    worst = float(np.max(np.abs(sol.fun)))
+    if not worst <= BARE_FIT_TOLERANCE:
         # one line: scipy wraps some messages, and CSV error cells hold one line
-        raise SolverFailureError(f"bare-parameter fit failed: {' '.join(sol.message.split())}")
+        raise SolverFailureError(
+            f"bare-parameter fit failed: residual {worst:.3g} GHz above "
+            f"{BARE_FIT_TOLERANCE:g} GHz ({' '.join(sol.message.split())})")
     nus, alphas = sol.x[:n], sol.x[n:]
     return replace(system, transmons=tuple(
         replace(t, frequency=float(nu), anharmonicity=float(al))

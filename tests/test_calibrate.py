@@ -190,6 +190,7 @@ class TestChainCancellation:
         solves = []
 
         def counting(h, dims, labels, **kwargs):
+            assert h.dtype == np.float64  # 0/pi tones: solved in real arithmetic
             solves.append(labels)
             return original(h, dims, labels, **kwargs)
 

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
 from starkzz import spectrum
@@ -79,8 +80,9 @@ class TestSparseSpectrum:
     """The Davidson path, reached on small systems by lowering DENSE_LIMIT."""
 
     def test_lazy_matches_dense(self, device_a, monkeypatch):
-        """A 3-vector basis restarts every solve; phase 0.7 makes H complex."""
-        for phi in (math.pi, 0.7):
+        """A 3-vector basis restarts every solve; phase pi makes H real (solved
+        in real arithmetic), phase 0.7 makes it complex."""
+        for phi, dtype in ((math.pi, np.float64), (0.7, np.complex128)):
             system = device_a.with_drives(cancellation_drives(phi=phi))
             h = build_rwa_hamiltonian_sparse(system, 5.1)
             assert phi == math.pi or np.abs(h.imag).max() > 1e-3
@@ -89,11 +91,33 @@ class TestSparseSpectrum:
             for max_basis in (spectrum.DAVIDSON_MAX_BASIS, 3):
                 monkeypatch.setattr(spectrum, "DAVIDSON_MAX_BASIS", max_basis)
                 lazy = labeled_spectrum(h, system.dims, 5.1)
-                assert dense.sparse is None and lazy.sparse is not None
+                assert dense.sparse is None and lazy.sparse.dtype == dtype
                 for label in dense.labels:
                     assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-12)
                     assert lazy.overlap(label) == pytest.approx(dense.overlap(label), abs=1e-9)
             monkeypatch.undo()
+
+    def test_real_only_within_bound(self, device_a, monkeypatch):
+        """One imaginary entry just above REAL_TOLERANCE keeps H complex; just
+        below it, H is kept as its real part."""
+        system = device_a.with_drives(cancellation_drives())
+        h = build_rwa_hamiltonian_sparse(system, 5.1).toarray()
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        for scale, dtype in ((2.0, np.complex128), (0.5, np.float64)):
+            tilted = h.real.astype(complex)
+            tilted[0, 1] += 1j * scale * spectrum.REAL_TOLERANCE
+            tilted[1, 0] -= 1j * scale * spectrum.REAL_TOLERANCE
+            spec = labeled_spectrum(scipy.sparse.csr_matrix(tilted), system.dims, 5.1)
+            assert spec.sparse.dtype == dtype
+
+    def test_real_and_complex_solves_agree(self, device_a):
+        system = device_a.with_drives(cancellation_drives())
+        h = build_rwa_hamiltonian_sparse(system, 5.1).real.tocsr()
+        labels = labeled_spectrum(h, system.dims, 5.1).labels
+        real = spectrum.targeted_label_energies(h, system.dims, labels)
+        complex_ = spectrum.targeted_label_energies(h.astype(complex), system.dims, labels)
+        for label in labels:
+            assert real[label] == pytest.approx(complex_[label], rel=0, abs=1e-12)
 
     def test_chain_labels_match_dense(self, monkeypatch):
         """Labels whose dressed state is not among the eigenvalues nearest
@@ -357,6 +381,27 @@ class TestBareFit:
         for got, ref in zip(fitted.transmons, device_a.transmons):
             assert got.frequency == pytest.approx(ref.frequency, abs=1e-12)
             assert got.anharmonicity == pytest.approx(ref.anharmonicity, abs=1e-12)
+
+    def test_fit_judged_by_residual(self, device_a, monkeypatch):
+        """hybr's success flag does not decide the outcome: a stop at a
+        rounding-level residual is a fit, a 'successful' stop far off is not."""
+        measured = ((4.960, 5.016), (-0.283, -0.287))
+
+        def stopping(success, residual):
+            def root(fun, x0, **kwargs):
+                return scipy.optimize.OptimizeResult(
+                    x=np.asarray(x0), fun=np.full(len(x0), residual), success=success,
+                    message="stub stop")
+            return root
+
+        monkeypatch.setattr(scipy.optimize, "root", stopping(False, 1.5e-15))
+        fitted = fit_bare_transmons(device_a, *measured)
+        assert [t.frequency for t in fitted.transmons] == list(measured[0])
+        assert [t.anharmonicity for t in fitted.transmons] == list(measured[1])
+        monkeypatch.setattr(scipy.optimize, "root", stopping(True, 1e-6))
+        with pytest.raises(SolverFailureError,
+                           match=r"bare-parameter fit failed: residual 1e-06 GHz"):
+            fit_bare_transmons(device_a, *measured)
 
 
 class TestTruncationConvergence:
