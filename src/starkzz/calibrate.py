@@ -347,7 +347,7 @@ class _RepeatedGate:
         times = np.arange(self.n_reps + 1, dtype=float)
         trajs = [self._trajectory(u_op, self.target, self._prep(control_state, axis))
                  for axis in ("z", "x")]
-        params, _ = _fit_rotation(times, *trajs, extra_seeds=[desired / TWO_PI])
+        params, _ = _fit_rotation(times, *trajs)
         return _canonical_rotation(TWO_PI * params, desired)
 
     def rotations(self, schedule: PulseSchedule, desired) -> list[np.ndarray]:
@@ -367,10 +367,9 @@ class _RepeatedGate:
         """
         psi = (self._prep(0, target_axis) + self._prep(1, target_axis)) / math.sqrt(2.0)
         times = np.arange(self.n_reps + 1, dtype=float)
-        seeds = [np.array([0.0, 0.0, 0.25]), np.array([0.0, 0.0, -0.25])]
         for _ in range(4):
             traj = self._trajectory(self.unitary(schedule(cal)), self.control, psi)
-            params, _ = _fit_rotation(times, traj, extra_seeds=seeds)
+            params, _ = _fit_rotation(times, traj)
             phase = TWO_PI * params[2]
             cal.transcript.append({"iteration": "control-frame",
                                    "control_phase_per_gate": phase})

@@ -163,7 +163,7 @@ class PulseSchedule:
 
 
 def schedule_to_document(schedule: PulseSchedule) -> dict:
-    """JSON-compatible document for a schedule (inverse of from_document)."""
+    """JSON-compatible document for a schedule."""
     items = []
     for item in schedule.items:
         if isinstance(item, Barrier):
@@ -189,32 +189,6 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
     if schedule.total_duration is not None:
         doc["total_duration"] = schedule.total_duration
     return doc
-
-
-def schedule_from_document(doc: dict) -> PulseSchedule:
-    """Rebuild a schedule from its document form."""
-    items = []
-    for entry in doc.get("items", []):
-        kind = entry.get("type")
-        if kind == "barrier":
-            items.append(BARRIER)
-        elif kind == "frame_change":
-            items.append(FrameChange(float(entry["angle"]), int(entry["target"])))
-        elif kind == "play":
-            env = entry["envelope"]
-            items.append(Play(
-                Envelope(EnvelopeKind(env["kind"]), float(env["amplitude"]),
-                         float(env["duration"]), float(env["sigma"]),
-                         float(env.get("rise_fall_sigmas", 2.0)),
-                         float(env.get("drag_beta", 0.0)),
-                         float(env.get("skew_gamma", 0.0))),
-                float(entry["carrier_frequency"]),
-                float(entry["carrier_phase"]), int(entry["target"])))
-        else:
-            raise ValueError(f"unknown schedule item type {kind!r}")
-    total = doc.get("total_duration")
-    return PulseSchedule(tuple(items),
-                         float(total) if total is not None else None)
 
 
 @dataclass(frozen=True)
@@ -616,16 +590,18 @@ def _rotation_model(params, t, r0):
     return parallel + cos_a * perp + sin_a * cross
 
 
-def _rotation_seed(times, trajectory):
-    """Per-step rotation vector estimated by orthogonal Procrustes.
+def _rotation_seed(times, *trajectories):
+    """Per-step rotation vector of all trajectories jointly, by orthogonal
+    Procrustes (Schönemann, Psychometrika 31, 1 (1966)).
 
-    All consecutive Bloch-vector pairs share one rotation when the
-    generator is constant; the best-fit rotation matrix gives a robust
-    axis-and-angle seed as long as the grid resolves under half a turn
-    per step.
+    Every consecutive Bloch-vector pair of every trajectory shares one
+    rotation R when the generator is constant.  Below a quarter turn per
+    step the axis comes from the antisymmetric part R - R^T = 2 sin(a) [n]x;
+    beyond it from the symmetric part (R + R^T)/2 = cos(a) I + (1 - cos a) n n^T,
+    signed by the antisymmetric part, so the seed holds up to a half turn.
     """
-    a = trajectory[:-1].T
-    b = trajectory[1:].T
+    a = np.concatenate([traj[:-1] for traj in trajectories]).T
+    b = np.concatenate([traj[1:] for traj in trajectories]).T
     u, _, vt = np.linalg.svd(b @ a.T)
     d = np.sign(np.linalg.det(u @ vt))
     rot = u @ np.diag([1.0, 1.0, d]) @ vt
@@ -634,30 +610,32 @@ def _rotation_seed(times, trajectory):
     axis = np.array([rot[2, 1] - rot[1, 2],
                      rot[0, 2] - rot[2, 0],
                      rot[1, 0] - rot[0, 1]])
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12 or angle < 1e-9:
+    if angle < 1e-9:
         return np.zeros(3)
+    if cos_angle < 0.0:
+        outer = ((rot + rot.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
+        column = outer[:, np.argmax(np.diagonal(outer))]
+        axis = column if column @ axis >= 0.0 else -column
     dt_step = times[1] - times[0]
-    return (axis / norm) * angle / (TWO_PI * dt_step)
+    return axis / np.linalg.norm(axis) * angle / (TWO_PI * dt_step)
 
 
-def _fit_rotation(times, *trajectories, extra_seeds=()):
+def _fit_rotation(times, *trajectories):
     """Least-squares single-axis-rotation fit of trajectories jointly.
 
-    Each trajectory starts from its own first Bloch vector and contributes
-    its own Procrustes seed; the lowest-cost fit over all seeds wins.
+    Each trajectory starts from its own first Bloch vector; one
+    Levenberg-Marquardt solve runs from the joint Procrustes seed.
+    Returns the rotation vector (turns per unit time) and the residual
+    norm relative to the trajectories' norm.
     """
     def residual(params):
         return np.concatenate([(_rotation_model(params, times, traj[0]) - traj).ravel()
                                for traj in trajectories])
 
-    seeds = [_rotation_seed(times, traj) for traj in trajectories]
-    seeds.extend(np.asarray(s, dtype=float) for s in extra_seeds)
-    best = min((scipy.optimize.least_squares(residual, guess, method="lm", max_nfev=2000)
-                for guess in seeds), key=lambda sol: sol.cost)
+    sol = scipy.optimize.least_squares(residual, _rotation_seed(times, *trajectories),
+                                       method="lm", max_nfev=2000)
     scale = max(1.0, np.linalg.norm(np.concatenate(trajectories)))
-    rel_resid = math.sqrt(2.0 * best.cost) / scale
-    return best.x, rel_resid
+    return sol.x, math.sqrt(2.0 * sol.cost) / scale
 
 
 def _bloch_trajectory(frame: OperatingFrame, qubit: int, amplitudes) -> np.ndarray:
@@ -672,26 +650,32 @@ def _bloch_trajectory(frame: OperatingFrame, qubit: int, amplitudes) -> np.ndarr
     return out
 
 
+#: Snapshots per tomography trajectory, over two periods of the dominant rate.
+TOMOGRAPHY_POINTS = 21
+#: Largest relative residual a tomography rotation fit may end at.
+MAX_REL_RESIDUAL = 0.05
+
+
 def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: float,
                         control: int, target: int, dt: float = DEFAULT_DT,
-                        num_points: int = 21, cr_phase: float = 0.0,
-                        max_rel_residual: float = 0.05,
                         frame: OperatingFrame | None = None) -> dict[str, float]:
     """Fit conditional target rotation rates under a constant entangling tone.
 
     The target's Bloch trajectory is simulated with the control prepared in
     its ground and excited dressed states, over a grid spanning two periods
-    of the dominant rate (estimated from a pilot pass), and each trajectory
-    is fit to a single-axis rotation.  Rates are reported in the
-    conditional-Rabi convention of standard cross-resonance tomography,
-    H = (1/2) sum_P nu_P P; in this convention the tomographic ZZ equals
-    half the level-spacing (Ramsey) value used by the spectrum module.
+    of the dominant rate (estimated from up to three pilot passes), and each
+    trajectory is fit to a single-axis rotation.  Returns IX, IY, IZ, ZX, ZY
+    and ZZ in the conditional-Rabi convention of standard cross-resonance
+    tomography, H = (1/2) sum_P nu_P P; in this convention the tomographic
+    ZZ equals half the level-spacing (Ramsey) value used by the spectrum
+    module.  Raises TomographyFitError when a fit ends above
+    MAX_REL_RESIDUAL.
     """
     if frame is None:
         cw = system.cancellation_drives()
         frame = OperatingFrame(system, cw[0].frequency if cw else cr_frequency)
     tone = _DriveTerm(target=control, start=0.0, envelope=None,
-                      amplitude=cr_amplitude, phase=cr_phase,
+                      amplitude=cr_amplitude, phase=0.0,
                       detuning=cr_frequency - frame.frame_frequency)
 
     # Pilot rate guess from the perturbative conditional rate plus a floor.
@@ -702,14 +686,13 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
 
     for _ in range(3):
         t_max = 2.0 / rate_guess
-        times = np.linspace(0.0, t_max, num_points)
+        times = np.linspace(0.0, t_max, TOMOGRAPHY_POINTS)
         _, snaps = _evolve(frame, [tone], [], t_max, dt, snapshot_times=times)
         prepared = [frame.to_operating(u, t)[:, preps] for u, t in zip(snaps, times)]
-        extra = [np.array([s * rate_guess, 0.0, 0.0]) for s in (1.0, -1.0)]
         fitted, residuals = [], []
         for k in range(2):
             traj = _bloch_trajectory(frame, target, [cols[:, k] for cols in prepared])
-            params, rel = _fit_rotation(times, traj, extra_seeds=extra)
+            params, rel = _fit_rotation(times, traj)
             fitted.append(params)
             residuals.append(rel)
         dominant = max(np.linalg.norm(p) for p in fitted)
@@ -718,23 +701,14 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
         rate_guess = max(dominant, 2e-4)
 
     worst = max(residuals)
-    if worst > max_rel_residual:
+    if worst > MAX_REL_RESIDUAL:
         raise TomographyFitError(
-            f"rotation-model fit residual {worst:.3g} exceeds {max_rel_residual}",
+            f"rotation-model fit residual {worst:.3g} exceeds {MAX_REL_RESIDUAL}",
             residual=worst)
 
     p0, p1 = fitted
     rates: dict[str, float] = {}
     for k, axis in enumerate("XYZ"):
-        rates[f"I{axis}"] = 0.5 * (p0[k] + p1[k])
-        rates[f"Z{axis}"] = 0.5 * (p0[k] - p1[k])
-
-    # Control Stark rate from a control-coherence trajectory with the
-    # target idle; the conditional (ZZ) part is removed so the reported ZI
-    # follows the same Pauli normalization.
-    amps = [cols.sum(axis=1) / math.sqrt(2.0) for cols in prepared]
-    traj = _bloch_trajectory(frame, control, amps)
-    extra = [np.array([0.0, 0.0, z]) for z in (rates["ZZ"], -rates["ZZ"])]
-    params, _ = _fit_rotation(times, traj, extra_seeds=extra)
-    rates["ZI"] = params[2] - rates["ZZ"]
-    return {k: float(v) for k, v in rates.items()}
+        rates[f"I{axis}"] = float(0.5 * (p0[k] + p1[k]))
+        rates[f"Z{axis}"] = float(0.5 * (p0[k] - p1[k]))
+    return rates

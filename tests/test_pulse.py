@@ -1,9 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from starkzz.errors import StepSizeError
+from starkzz.calibrate import _RepeatedGate
+from starkzz.errors import StepSizeError, TomographyFitError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec, basis_label,
                                computational_labels, direct_coupling, index_to_label)
 from starkzz import pulse
@@ -492,7 +497,7 @@ class TestRotationFit:
     def test_joint_fit_of_two_trajectories(self):
         """A rotation about z leaves a ground-state trajectory still, so
         alone it fits no rate; fit jointly with an equator trajectory, both
-        contribute residuals and seeds and the rate is recovered."""
+        contribute residuals and Procrustes pairs and the rate is recovered."""
         c = 1.7e-3
         times = np.linspace(0.0, 2.0 / c, 21)
         p_true = np.array([0.0, 0.0, c])
@@ -504,26 +509,70 @@ class TestRotationFit:
         assert resid < 1e-9
         assert params == pytest.approx(p_true, abs=1e-9 * c)
 
+    @settings(deadline=None)
+    @given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+           .filter(lambda v: np.linalg.norm(v) > 0.1),
+           angle=st.floats(0.05, math.pi),
+           starts=st.tuples(*[st.floats(-1.0, 1.0)] * 6)
+           .filter(lambda v: min(np.linalg.norm(v[:3]), np.linalg.norm(v[3:])) > 0.1))
+    @example(axis=(1.0, 0.0, 0.0), angle=math.pi, starts=(0.0, 0.0, 1.0, 0.0, 1.0, 0.0))
+    def test_any_axis_up_to_a_half_turn_per_step(self, axis, angle, starts):
+        """One fit from the joint seed reproduces two trajectories of any
+        rotation up to a half turn per step, where the antisymmetric part of
+        the step rotation vanishes."""
+        times = np.arange(11.0)
+        p_true = np.asarray(axis) / np.linalg.norm(axis) * angle / TWO_PI
+        trajs = [_rotation_model(p_true, times, np.asarray(r0) / np.linalg.norm(r0))
+                 for r0 in (starts[:3], starts[3:])]
+        params, _ = _fit_rotation(times, *trajs)
+        for traj in trajs:
+            assert np.abs(_rotation_model(params, times, traj[0]) - traj).max() < 1e-8
+
+    def test_one_least_squares_call_per_fit(self, device_a, monkeypatch):
+        """Each trajectory fit is one Levenberg-Marquardt solve: two per
+        tomography pilot pass (one per control state) and two per repeated-
+        gate `rotations` (one per control state)."""
+        solves, passes = [], []
+        solve, evolve = scipy.optimize.least_squares, pulse._evolve
+        monkeypatch.setattr(scipy.optimize, "least_squares",
+                            lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        monkeypatch.setattr(pulse, "_evolve",
+                            lambda *a, **kw: passes.append(1) or evolve(*a, **kw))
+        frame = OperatingFrame(device_a, 4.96)
+        extract_pauli_rates(device_a, 0.008, frame.dressed_frequency(0), control=1,
+                            target=0)
+        assert len(passes) >= 1
+        assert len(solves) == 2 * len(passes)
+
+        solves.clear()
+        gate = _RepeatedGate(device_a, frame, control=1, target=0, n_reps=17, dt=0.05)
+        sched = PulseSchedule((Play(flat_top(0.02, duration=60.0),
+                                    frame.dressed_frequency(0), 0.0, 1),))
+        gate.rotations(sched, [np.zeros(3), np.array([math.pi, 0.0, 0.0])])
+        assert len(solves) == 2
+
 
 class TestScheduleDocuments:
     def test_round_trip(self):
-        from starkzz.pulse import schedule_from_document, schedule_to_document
+        """The document of a schedule survives JSON and spells out every
+        item kind and the padding."""
+        from starkzz.pulse import schedule_to_document
         sched = PulseSchedule((
             Play(flat_top(0.02, beta=0.4, gamma=0.1), 4.95, 0.3, 0),
             BARRIER,
-            FrameChange(0.7, 1),
-            Play(flat_top(0.01), 5.0, 0.0, 1)), total_duration=160.0)
-        doc = schedule_to_document(sched)
-        import json
-        rebuilt = schedule_from_document(json.loads(json.dumps(doc)))
-        assert rebuilt.total_duration == sched.total_duration
-        assert len(rebuilt.items) == len(sched.items)
-        orig_plays, orig_fcs, orig_end = sched.timed_items(2)
-        new_plays, new_fcs, new_end = rebuilt.timed_items(2)
-        assert orig_end == new_end
-        for (t1, p1), (t2, p2) in zip(orig_plays, new_plays):
-            assert t1 == t2 and p1 == p2
-        assert orig_fcs == new_fcs
+            FrameChange(0.7, 1)), total_duration=160.0)
+        doc = json.loads(json.dumps(schedule_to_document(sched)))
+        assert doc == {
+            "items": [
+                {"type": "play", "target": 0, "carrier_frequency": 4.95,
+                 "carrier_phase": 0.3,
+                 "envelope": {"kind": "gaussian_derivative_quadrature",
+                              "amplitude": 0.02, "duration": 50.0, "sigma": 10.0,
+                              "rise_fall_sigmas": 2.0, "drag_beta": 0.4,
+                              "skew_gamma": 0.1}},
+                {"type": "barrier"},
+                {"type": "frame_change", "angle": 0.7, "target": 1}],
+            "total_duration": 160.0}
 
 
 class TestExtractPauliRates:
@@ -568,3 +617,12 @@ class TestExtractPauliRates:
         rates = extract_pauli_rates(device_a, 0.002, nu_t, control=1, target=0)
         ramsey_zz = pair_rates(static_spectrum(device_a)).zz
         assert rates["ZZ"] == pytest.approx(ramsey_zz / 2.0, rel=0.05)
+        assert sorted(rates) == ["IX", "IY", "IZ", "ZX", "ZY", "ZZ"]
+
+    def test_fit_residual_above_bound_raises(self, device_a, monkeypatch):
+        monkeypatch.setattr(pulse, "MAX_REL_RESIDUAL", 0.0)
+        frame = OperatingFrame(device_a, 4.96)
+        with pytest.raises(TomographyFitError) as caught:
+            extract_pauli_rates(device_a, 0.008, frame.dressed_frequency(0),
+                                control=1, target=0)
+        assert caught.value.residual > 0.0
