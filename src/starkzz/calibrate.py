@@ -6,8 +6,10 @@ The gate loops simulate repeated-gate amplification sequences: the gate
 propagator is computed once per iteration, powers of it generate
 target-population trajectories versus repetition count, rotation angles are
 fit from those trajectories, and Newton-style updates drive every monitored
-angle to its goal.  Iteration stops when all angle errors are below the
-termination threshold (0.01 rad by default).
+angle to its goal until every error is below `ANGLE_TOLERANCE`.  Each gate
+has one pulse shape: sigma `GATE_SIGMA` = 10 ns, a rise of 2 sigma for the CNOT
+and 3 sigma for the CZ, amplified over `GATE_REPETITIONS` = 17 repetitions.
+A gate result carries the schedule it propagated and scored.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ TWO_PI = 2.0 * math.pi
 NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
+MAX_GATE_ITERATIONS = 50  # iteration cap of the gate Newton loops
+GATE_REPETITIONS = 17  # repetitions each amplification trajectory runs to
+GATE_SIGMA = 10.0  # Gaussian edge width of the gate pulses (ns)
+CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_SIGMA
+AMPLITUDE_GRID_POINTS = 24  # scale-grid intervals bracketing the pair-tone ZZ null
+CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain search tries
+CHAIN_MAX_SWEEPS = 3  # forward passes the chain search makes before giving up
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,7 @@ def _zz_at_phase(system: SystemSpec, q0: int, q1: int, phi: float) -> float:
     return driven_pair_rates(system.with_drives(drives), q0, q1).zz
 
 
-def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1,
-                            tolerance: float = NULL_TOLERANCE) -> float:
+def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1) -> float:
     """Phase difference nulling the pair's ZZ at fixed tone amplitudes.
 
     Roots phi -> zz(phi) on [0, pi]; requires the modulation amplitude to
@@ -117,9 +125,9 @@ def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1,
     if zz0 * zz_pi > 0:
         # No sign change; accept an endpoint already inside tolerance
         # (amplitudes just sufficient to approach the null).
-        if abs(zz_pi) < tolerance:
+        if abs(zz_pi) < NULL_TOLERANCE:
             return math.pi
-        if abs(zz0) < tolerance:
+        if abs(zz0) < NULL_TOLERANCE:
             return 0.0
         raise InsufficientAmplitudeError(
             f"zz(0)={zz0:.3e} and zz(pi)={zz_pi:.3e} GHz do not bracket "
@@ -127,7 +135,7 @@ def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1,
     phi_star = scipy.optimize.brentq(
         lambda phi: _zz_at_phase(system, q0, q1, phi), 0.0, math.pi, xtol=1e-10)
     residual = _zz_at_phase(system, q0, q1, phi_star)
-    if abs(residual) > tolerance:
+    if abs(residual) > NULL_TOLERANCE:
         raise InsufficientAmplitudeError(
             f"root search stalled at |zz|={abs(residual):.3e} GHz")
     return float(phi_star)
@@ -139,21 +147,19 @@ def _zz_at_scale(system: SystemSpec, q0: int, q1: int, scale: float) -> float:
 
 
 def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
-                                max_scale: float = 10.0,
-                                tolerance: float = NULL_TOLERANCE,
-                                grid_points: int = 24) -> float:
+                                max_scale: float = 10.0) -> float:
     """Minimal positive scale of the tone pair that nulls the pair's ZZ.
 
     The system's drives fix the amplitude ratio and the phase difference
     (pi for cancellation against a positive static value).  Returns 0.0
-    when the undriven ZZ is already below tolerance; raises
+    when the undriven ZZ is already below `NULL_TOLERANCE`; raises
     CancellationUnreachableError when no crossing exists below `max_scale`.
     """
     zz_zero = _zz_at_scale(system, q0, q1, 0.0)
-    if abs(zz_zero) < tolerance:
+    if abs(zz_zero) < NULL_TOLERANCE:
         return 0.0
     previous_scale, previous_zz = 0.0, zz_zero
-    for scale in np.linspace(0.0, max_scale, grid_points + 1)[1:]:
+    for scale in np.linspace(0.0, max_scale, AMPLITUDE_GRID_POINTS + 1)[1:]:
         zz = _zz_at_scale(system, q0, q1, float(scale))
         if zz_zero * zz <= 0.0:
             root = scipy.optimize.brentq(
@@ -190,10 +196,7 @@ def _seed_amplitude(base: SystemSpec, reference: LabeledSpectrum, nu_d: float,
 
 
 def chain_cancellation(chain: SystemSpec, nu_d: float,
-                       seed_stark_shift: float = 1e-3,
-                       tolerance: float = NULL_TOLERANCE,
-                       amplitude_cap: float = 0.08,
-                       max_sweeps: int = 3) -> CancellationSolution:
+                       seed_stark_shift: float = 1e-3) -> CancellationSolution:
     """Sequential pairwise ZZ nulling along a line of transmons.
 
     The first qubit's tone is set to induce the seed Stark shift; each
@@ -201,7 +204,8 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     pair's ZZ on the full-chain Hamiltonian, with the pairwise phase
     difference fixed at pi and earlier qubits held fixed.  A verification
     sweep recomputes every pair; if spectator dressing pushed an earlier
-    pair above tolerance the forward pass is repeated (up to `max_sweeps`).
+    pair above `NULL_TOLERANCE` the forward pass is repeated (up to
+    `CHAIN_MAX_SWEEPS` passes, each amplitude below `CHAIN_AMPLITUDE_CAP`).
     """
     n = chain.num_transmons
     if n < 2:
@@ -219,7 +223,7 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     phases = [math.pi * (i % 2) for i in range(n)]
     amplitudes = [0.0] * n
     amplitudes[0] = _seed_amplitude(base, reference, nu_d, seed_stark_shift,
-                                    phases[0], amplitude_cap)
+                                    phases[0], CHAIN_AMPLITUDE_CAP)
 
     def driven(up_to: int) -> LabeledSpectrum:
         """Spectrum with the tones of qubits 0..up_to (zero amplitudes left out)."""
@@ -234,32 +238,32 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
             return pair_rates(driven(i + 1), i, i + 1).zz
 
         zz0 = objective(0.0)
-        if abs(zz0) < tolerance:
+        if abs(zz0) < NULL_TOLERANCE:
             amplitudes[i + 1] = 0.0
             return
-        zz_cap = objective(amplitude_cap)
+        zz_cap = objective(CHAIN_AMPLITUDE_CAP)
         if zz0 * zz_cap > 0:
             amplitudes[i + 1] = 0.0
             raise CancellationUnreachableError(
                 f"pair ({i}, {i + 1}): no ZZ zero below "
-                f"{amplitude_cap * 1e3:.0f} MHz (zz stuck at {zz_cap:.3e} GHz)")
+                f"{CHAIN_AMPLITUDE_CAP * 1e3:.0f} MHz (zz stuck at {zz_cap:.3e} GHz)")
         amplitudes[i + 1] = float(scipy.optimize.brentq(
-            objective, 0.0, amplitude_cap, xtol=1e-7))
+            objective, 0.0, CHAIN_AMPLITUDE_CAP, xtol=1e-7))
 
     residuals = [math.inf] * (n - 1)
-    for _ in range(max_sweeps):
+    for _ in range(CHAIN_MAX_SWEEPS):
         for i in range(n - 1):
             solve_pair(i)
         final = driven(n - 1)
         verified = [pair_rates(final, i, i + 1) for i in range(n - 1)]
         residuals = [rates.zz for rates in verified]
-        if max(abs(r) for r in residuals) < tolerance:
+        if max(abs(r) for r in residuals) < NULL_TOLERANCE:
             break
     else:
         worst = max(range(n - 1), key=lambda i: abs(residuals[i]))
         raise CancellationUnreachableError(
             f"pair ({worst}, {worst + 1}) residual {residuals[worst]:.3e} GHz "
-            f"after {max_sweeps} sweeps")
+            f"after {CHAIN_MAX_SWEEPS} sweeps")
 
     shifts = [stark_shift(final, reference, q) for q in range(n)]
     return CancellationSolution(
@@ -292,7 +296,6 @@ class _RepeatedGate:
     frame: OperatingFrame
     control: int
     target: int
-    n_reps: int
     dt: float
     #: Unitaries by propagated schedule; lives for one calibration only.
     _unitaries: dict = field(default_factory=dict, init=False, repr=False,
@@ -333,7 +336,7 @@ class _RepeatedGate:
 
     def _trajectory(self, u_op: np.ndarray, qubit: int, psi0: np.ndarray) -> np.ndarray:
         states = [psi0]
-        for _ in range(self.n_reps):
+        for _ in range(GATE_REPETITIONS):
             states.append(u_op @ states[-1])
         return _bloch_trajectory(self.frame, qubit, states)
 
@@ -344,7 +347,7 @@ class _RepeatedGate:
         Trajectories from a ground-state and an equator preparation are fit
         jointly so the rotation azimuth stays observable at half-turn angles.
         """
-        times = np.arange(self.n_reps + 1, dtype=float)
+        times = np.arange(GATE_REPETITIONS + 1, dtype=float)
         trajs = [self._trajectory(u_op, self.target, self._prep(control_state, axis))
                  for axis in ("z", "x")]
         params, _ = _fit_rotation(times, *trajs)
@@ -356,24 +359,26 @@ class _RepeatedGate:
         u_op = self.unitary(schedule)
         return [self._rotation(u_op, state, goal) for state, goal in enumerate(desired)]
 
-    def set_control_frame(self, cal, schedule, target_axis: str,
-                          tolerance: float) -> None:
+    def set_control_frame(self, cal, schedule, target_axis: str) -> None:
         """Null the control's z-phase per gate `schedule(cal)` by its frame change.
 
         The phase is fit from an equator control preparation, with the
         target along `target_axis` in an eigenstate of the conditional
         operation (z for conditional phases, x for a conditional x flip) so
         every repetition contributes and the phase is read over the full turn.
+        Each transcript row reports the fit's relative residual; no bound
+        applies to it.
         """
         psi = (self._prep(0, target_axis) + self._prep(1, target_axis)) / math.sqrt(2.0)
-        times = np.arange(self.n_reps + 1, dtype=float)
+        times = np.arange(GATE_REPETITIONS + 1, dtype=float)
         for _ in range(4):
             traj = self._trajectory(self.unitary(schedule(cal)), self.control, psi)
-            params, _ = _fit_rotation(times, traj)
+            params, fit_residual = _fit_rotation(times, traj)
             phase = TWO_PI * params[2]
             cal.transcript.append({"iteration": "control-frame",
-                                   "control_phase_per_gate": phase})
-            if abs(phase) < tolerance:
+                                   "control_phase_per_gate": phase,
+                                   "fit_residual": fit_residual})
+            if abs(phase) < ANGLE_TOLERANCE:
                 break
             # frame change exp(-i theta n) contributes -theta to the measured
             # control phase, so the correction adds the measured value
@@ -432,12 +437,12 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
 # ---------------------------------------------------------------------------
 # CNOT calibration
 
-def _cnot_schedule(cal: CnotCalibration, carrier: float, control: int, target: int,
-                   sigma: float, rise: float) -> PulseSchedule:
+def _cnot_schedule(cal: CnotCalibration, carrier: float, control: int,
+                   target: int) -> PulseSchedule:
     cr_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.control_amplitude,
-                      cal.duration, sigma, rise)
+                      cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS)
     tg_env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE,
-                      cal.target_amplitude, cal.duration, sigma, rise,
+                      cal.target_amplitude, cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS,
                       drag_beta=cal.target_drag, skew_gamma=cal.target_skew)
     return PulseSchedule((
         Play(cr_env, carrier, cal.control_phase, control),
@@ -456,10 +461,7 @@ def cnot_target(control_is_second: bool = True) -> np.ndarray:
 
 
 def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
-                   target: int = 0, sigma: float = 10.0, rise: float = 2.0,
-                   n_reps: int = 17, max_iterations: int = 50,
-                   tolerance: float = ANGLE_TOLERANCE, dt: float = DEFAULT_DT,
-                   initial: CnotCalibration | None = None) -> CnotCalibration:
+                   target: int = 0, dt: float = DEFAULT_DT) -> CnotCalibration:
     """Iterative direct-CNOT calibration on a ZZ-cancelled system.
 
     Stage 1 coarsely scans the entangling-tone amplitude to a quarter-turn
@@ -469,47 +471,44 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     one batch of fits), and stage 4 sets the control frame change from the
     control's phase accumulation over even gate repetitions.
     """
-    gate = _RepeatedGate(system, OperatingFrame(system), control, target, n_reps, dt)
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
     carrier = gate.frame.dressed_frequency(target)
-    gate_area = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 1.0, duration, sigma,
-                         rise).flat_area
+    gate_area = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 1.0, duration, GATE_SIGMA,
+                         CNOT_RISE_SIGMAS).flat_area
     desired = (np.zeros(3), np.array([-math.pi, 0.0, 0.0]))
 
     def schedule(c: CnotCalibration) -> PulseSchedule:
-        return _cnot_schedule(c, carrier, control, target, sigma, rise)
+        return _cnot_schedule(c, carrier, control, target)
 
-    if initial is not None:
-        cal = replace(initial, transcript=list(initial.transcript))
-    else:
-        # Perturbative starting point for the conditional and direct rates.
-        omega_c0 = 0.25 / (seed_zx_rate(system, control, target, 1.0) * gate_area)
-        cal = CnotCalibration(
-            control_amplitude=omega_c0, target_amplitude=0.25 / gate_area,
-            control_phase=0.0, target_phase=0.0, target_drag=0.0,
-            target_skew=0.0, target_frame_change=0.0, control_frame_change=0.0,
-            duration=duration)
+    # Perturbative starting point for the conditional and direct rates.
+    omega_c0 = 0.25 / (seed_zx_rate(system, control, target, 1.0) * gate_area)
+    cal = CnotCalibration(
+        control_amplitude=omega_c0, target_amplitude=0.25 / gate_area,
+        control_phase=0.0, target_phase=0.0, target_drag=0.0,
+        target_skew=0.0, target_frame_change=0.0, control_frame_change=0.0,
+        duration=duration)
 
-        def conditional(cal_trial) -> np.ndarray:
-            v0, v1 = gate.rotations(
-                schedule(replace(cal_trial, target_amplitude=0.0)), desired)
-            return 0.5 * (v0 - v1)
+    def conditional(cal_trial) -> np.ndarray:
+        v0, v1 = gate.rotations(
+            schedule(replace(cal_trial, target_amplitude=0.0)), desired)
+        return 0.5 * (v0 - v1)
 
-        # Stage 1: linear scan of the conditional angle vs tone amplitude.
-        amps = omega_c0 * np.array([0.6, 1.0, 1.4])
-        angles = [np.linalg.norm(conditional(replace(cal, control_amplitude=float(amp))))
-                  for amp in amps]
-        slope, intercept = np.polyfit(amps, angles, 1)
-        cal.control_amplitude = float((0.5 * math.pi - intercept) / slope)
+    # Stage 1: linear scan of the conditional angle vs tone amplitude.
+    amps = omega_c0 * np.array([0.6, 1.0, 1.4])
+    angles = [np.linalg.norm(conditional(replace(cal, control_amplitude=float(amp))))
+              for amp in amps]
+    slope, intercept = np.polyfit(amps, angles, 1)
+    cal.control_amplitude = float((0.5 * math.pi - intercept) / slope)
 
-        # Stage 2: align the conditional rotation along -x.
-        for _ in range(2):
-            vec = conditional(cal)
-            azimuth = math.atan2(vec[1], vec[0])
-            error = _wrap_angle(math.pi - azimuth)
-            cal.control_phase = _wrap_angle(cal.control_phase + error)
-            cal.target_phase = _wrap_angle(cal.target_phase + error)
-            if abs(error) < 0.5 * tolerance:
-                break
+    # Stage 2: align the conditional rotation along -x.
+    for _ in range(2):
+        vec = conditional(cal)
+        azimuth = math.atan2(vec[1], vec[0])
+        error = _wrap_angle(math.pi - azimuth)
+        cal.control_phase = _wrap_angle(cal.control_phase + error)
+        cal.target_phase = _wrap_angle(cal.target_phase + error)
+        if abs(error) < 0.5 * ANGLE_TOLERANCE:
+            break
 
     def measure(cal_trial) -> np.ndarray:
         v0, v1 = gate.rotations(schedule(cal_trial), desired)
@@ -539,31 +538,20 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
                 ("control_amplitude", "target_amplitude", "control_phase",
                  "target_phase", "target_drag", "target_skew",
                  "target_frame_change", "control_frame_change"),
-                tolerance, max_iterations, "CNOT fine loop")
+                ANGLE_TOLERANCE, MAX_GATE_ITERATIONS, "CNOT fine loop")
 
     # Stage 4: control frame change, with the target prepared along the
     # conditional rotation axis so the branch phase is read unambiguously.
-    gate.set_control_frame(cal, schedule, "x", tolerance)
+    gate.set_control_frame(cal, schedule, "x")
     cal.converged = True
     return cal
 
 
-def calibrated_cnot_schedule(system: SystemSpec, cal: CnotCalibration,
-                             control: int = 1, target: int = 0,
-                             sigma: float = 10.0, rise: float = 2.0) -> PulseSchedule:
-    """Schedule realizing a calibrated CNOT on the given system."""
-    frame = OperatingFrame(system)
-    return _cnot_schedule(cal, frame.dressed_frequency(target), control, target,
-                          sigma, rise)
-
-
 def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
-                     target: int = 0, sigma: float = 10.0, rise: float = 2.0,
-                     dt: float = DEFAULT_DT) -> GateResult:
+                     target: int = 0, dt: float = DEFAULT_DT) -> GateResult:
     """Propagate a calibrated CNOT and score it against the ideal gate."""
     frame = OperatingFrame(system)
-    carrier = frame.dressed_frequency(target)
-    sched = _cnot_schedule(cal, carrier, control, target, sigma, rise)
+    sched = _cnot_schedule(cal, frame.dressed_frequency(target), control, target)
     return propagate(system, sched, dt=dt, q0=min(control, target),
                      q1=max(control, target),
                      target=cnot_target(control_is_second=control > target),
@@ -573,13 +561,13 @@ def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
 # ---------------------------------------------------------------------------
 # CZ calibration
 
-def calibrated_cz_schedule(cal: CzCalibration, control: int = 1, target: int = 0,
-                           sigma: float = 10.0, rise: float = 3.0) -> PulseSchedule:
+def calibrated_cz_schedule(cal: CzCalibration, control: int = 1,
+                           target: int = 0) -> PulseSchedule:
     """Schedule realizing a conditional-phase gate from its calibration."""
     c_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.control_amplitude,
-                     cal.duration, sigma, rise)
+                     cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
     t_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.target_amplitude,
-                     cal.duration, sigma, rise)
+                     cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
     return PulseSchedule((
         Play(c_env, cal.gate_frequency, cal.relative_phase, control),
         Play(t_env, cal.gate_frequency, 0.0, target),
@@ -619,9 +607,7 @@ def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
 
 def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                  gate_amplitude: float, control: int = 1, target: int = 0,
-                 sigma: float = 10.0, rise: float = 3.0, n_reps: int = 17,
-                 max_iterations: int = 50, tolerance: float = ANGLE_TOLERANCE,
-                 dt: float = DEFAULT_DT,
+                 max_iterations: int = MAX_GATE_ITERATIONS, dt: float = DEFAULT_DT,
                  initial: CzCalibration | None = None) -> CzCalibration:
     """Iterative conditional-phase gate calibration with pulsed tones.
 
@@ -630,10 +616,10 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
     and the target frame change to meet the conditional and single-qubit
     phase goals, and finally sets the control frame change.
     """
-    gate = _RepeatedGate(system, OperatingFrame(system), control, target, n_reps, dt)
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
 
     def schedule(c: CzCalibration) -> PulseSchedule:
-        return calibrated_cz_schedule(c, control, target, sigma, rise)
+        return calibrated_cz_schedule(c, control, target)
 
     if initial is not None:
         cal = replace(initial, transcript=list(initial.transcript))
@@ -687,28 +673,27 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
     def check(jac) -> None:
         # Conditional-angle change of one amplitude step at the cap.
         reach = abs(jac[1, 0] - jac[0, 0]) * cap(cal)[0]
-        if reach < tolerance:
+        if reach < ANGLE_TOLERANCE:
             raise NonconvergenceError(
                 "CZ conditional angle is insensitive to the gate amplitude "
                 f"(no conditional phase accumulates): a capped amplitude "
-                f"step moves it by {reach:.2e} rad, below the {tolerance} "
+                f"step moves it by {reach:.2e} rad, below the {ANGLE_TOLERANCE} "
                 "rad tolerance", transcript=cal.transcript)
 
     steps = np.array([0.08 * abs(cal.control_amplitude) + 1e-5, 0.05])
     newton_loop(cal, measure, get_params, set_params, steps,
                 ("control_amplitude", "target_frame_change", "control_frame_change"),
-                tolerance, max_iterations, "CZ loop", cap=cap, check=check)
-    gate.set_control_frame(cal, schedule, "z", tolerance)
+                ANGLE_TOLERANCE, max_iterations, "CZ loop", cap=cap, check=check)
+    gate.set_control_frame(cal, schedule, "z")
     cal.converged = True
     return cal
 
 
 def cz_gate_result(system: SystemSpec, cal: CzCalibration, control: int = 1,
-                   target: int = 0, sigma: float = 10.0, rise: float = 3.0,
-                   dt: float = DEFAULT_DT) -> GateResult:
+                   target: int = 0, dt: float = DEFAULT_DT) -> GateResult:
     """Propagate a calibrated conditional-phase gate and score it vs CZ."""
     frame = OperatingFrame(system)
-    sched = calibrated_cz_schedule(cal, control, target, sigma, rise)
+    sched = calibrated_cz_schedule(cal, control, target)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     return propagate(system, sched, dt=dt, q0=min(control, target),
                      q1=max(control, target), target=cz, frame=frame)

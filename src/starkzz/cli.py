@@ -24,8 +24,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .calibrate import (chain_cancellation, calibrate_cnot, calibrate_cz,
-                        calibrated_cnot_schedule, calibrated_cz_schedule,
+from .calibrate import (CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS, GATE_SIGMA,
+                        chain_cancellation, calibrate_cnot, calibrate_cz,
                         cnot_gate_result, cz_gate_result,
                         find_cancellation_amplitude)
 from .config import (apply_override, check_transmon_pair, config_hash, load_config,
@@ -305,32 +305,33 @@ def cmd_calibrate(args) -> int:
         worst = max(abs(r) for r in solution.residual_zz)
         print(f"chain cancelled: worst residual {worst * 1e6:.3f} kHz, "
               f"max shift {max(abs(s) for s in solution.stark_shifts) * 1e3:.3f} MHz")
-    elif args.gate in ("cnot", "cz"):
+    else:
         check_transmon_pair([args.control, args.target], system.num_transmons,
                             "--control/--target")
+        rise = CNOT_RISE_SIGMAS if args.gate == "cnot" else CZ_RISE_SIGMAS
+        shortest = 2.0 * rise * GATE_SIGMA
+        if not shortest <= args.duration < math.inf:
+            raise ConfigError(f"must cover the {shortest:g} ns rise plus fall of the "
+                              f"{args.gate} pulse, got {args.duration}", "--duration")
         pair = {"control": args.control, "target": args.target}
         if args.gate == "cnot":
             cal = calibrate_cnot(system, args.duration, dt=args.dt, **pair)
             gate = cnot_gate_result(system, cal, dt=args.dt, **pair)
-            schedule = calibrated_cnot_schedule(system, cal, **pair)
         else:
             cal = calibrate_cz(system, args.duration, args.gate_frequency,
                                args.gate_amplitude, dt=args.dt, **pair)
             gate = cz_gate_result(system, cal, dt=args.dt, **pair)
-            schedule = calibrated_cz_schedule(cal, **pair)
         result = {
             "routine": args.gate,
             **{f.name: getattr(cal, f.name) for f in fields(cal)
                if f.name not in ("converged", "transcript")},
             "fidelity": gate.fidelity,
             "leakage": gate.leakage,
-            "schedule": schedule_to_document(schedule),
+            "schedule": schedule_to_document(gate.schedule),
         }
         transcript_columns, transcript_rows = _transcript_table(cal.transcript)
         print(f"{args.gate.upper()} converged in {cal.iterations} iterations: "
               f"fidelity {gate.fidelity:.6f}, leakage {gate.leakage:.2e}")
-    else:
-        raise ConfigError(f"unknown calibration routine {args.gate!r}")
 
     result["config_hash"] = config_hash(doc)
     if args.out:
@@ -360,8 +361,12 @@ def _effective_config(args) -> dict:
     doc = load_config(args.config) if args.config else load_preset(args.preset)
     for assignment in args.set or []:
         doc = apply_override(doc, assignment)
-    if args.levels:
+    if args.levels is not None:
+        if args.levels < 2:
+            raise ConfigError(f"must be at least 2, got {args.levels}", "--levels")
         doc = with_levels(doc, args.levels)
+    if not 0.0 < args.dt < math.inf:
+        raise ConfigError(f"must be a positive step in ns, got {args.dt}", "--dt")
     return validate_config(doc)
 
 

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import importlib.resources
 import json
-import math
 from dataclasses import replace
 
 from .errors import ConfigError
@@ -155,8 +154,9 @@ def to_system(document: dict) -> SystemSpec:
 def apply_override(document: dict, assignment: str) -> dict:
     """Apply one 'dotted.path=json-value' override to a config document.
 
-    Paths address nested objects and list indices (`drives.0.amplitude`);
-    values are parsed as JSON with a bare-word fallback to strings.
+    Paths address nested objects and list indices (`drives.0.amplitude`),
+    an index being a non-negative integer below the list's length; values
+    are parsed as JSON with a bare-word fallback to strings.
     """
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
@@ -168,20 +168,18 @@ def apply_override(document: dict, assignment: str) -> dict:
     doc = copy.deepcopy(document)
     parts = path.split(".")
     node = doc
-    for i, part in enumerate(parts[:-1]):
-        key = int(part) if isinstance(node, list) else part
-        try:
-            node = node[key]
-        except (KeyError, IndexError, ValueError, TypeError):
-            raise ConfigError("path does not exist", ".".join(parts[: i + 1]))
-    leaf = parts[-1]
-    key = int(leaf) if isinstance(node, list) else leaf
-    if isinstance(node, list):
-        if not (0 <= key < len(node)):
-            raise ConfigError("index out of range", path)
-    elif not isinstance(node, dict):
-        raise ConfigError("path does not address an object or list", path)
-    node[key] = value
+    for i, part in enumerate(parts):
+        where = ".".join(parts[: i + 1])
+        if isinstance(node, list):
+            if not (part.isdecimal() and int(part) < len(node)):
+                raise ConfigError(f"not an index of the {len(node)}-item list", where)
+            part = int(part)
+        elif not isinstance(node, dict) or (i < len(parts) - 1 and part not in node):
+            raise ConfigError("path does not exist", where)
+        if i == len(parts) - 1:
+            node[part] = value
+        else:
+            node = node[part]
     return doc
 
 

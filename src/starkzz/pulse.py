@@ -193,13 +193,14 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Propagation outcome in the operating (dressed, co-rotating) frame."""
+    """Propagation outcome of `schedule` in the operating (dressed, co-rotating) frame."""
 
     full_unitary: np.ndarray
     computational_block: np.ndarray
     leakage: float
     fidelity: float
     duration: float
+    schedule: PulseSchedule
 
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
@@ -565,7 +566,7 @@ def propagate(system: SystemSpec, schedule: PulseSchedule, dt: float = DEFAULT_D
         computational_block=block,
         leakage=block_leakage(block),
         fidelity=gate_fidelity(block, target),
-        duration=duration)
+        duration=duration, schedule=schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ DAVIDSON_MAX_ITERATIONS = 500  # steps before a solve raises SolverFailureError
 DAVIDSON_SHIFT_FLOOR = 1e-8  # least |diag H - theta| (GHz) in the preconditioner
 REAL_TOLERANCE = 1e-14  # largest |Im H| (GHz) a sparse spectrum drops to solve in real arithmetic
 BARE_FIT_TOLERANCE = 1e-12  # largest |dressed - measured| (GHz) a bare fit may leave
+EFFECTIVE_J_INDUCED = 50e-6  # largest predicted drive-induced ZZ (GHz) an effective_j probe makes
+EFFECTIVE_J_POINTS = 5  # amplitude scales per effective_j fit
+EFFECTIVE_J_MAX_RESIDUAL = 0.01  # largest relative residual an effective_j fit may end at
 
 
 @dataclass(frozen=True)
@@ -286,9 +289,7 @@ def zz_vs_parameter(system: SystemSpec, axis: str, values, q0: int = 0, q1: int 
 # ---------------------------------------------------------------------------
 # effective exchange strength
 
-def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
-                target_induced: float = 50e-6, num_points: int = 5,
-                max_residual: float = 0.01) -> float:
+def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone]) -> float:
     """Fit the low-amplitude drive-induced ZZ response to extract J.
 
     The system (2 logical transmons, bus modes allowed, no drives) is probed
@@ -296,8 +297,8 @@ def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
     phase differences 0 and pi.  The odd-in-cos(phi) part of the response is
     fit to the second-order product form, with the exchange strength as the
     single free parameter.  Amplitudes are chosen so the predicted induced
-    part stays below `target_induced` (GHz), keeping the fit quadratic; a
-    relative fit residual above `max_residual` raises
+    part stays below `EFFECTIVE_J_INDUCED`, keeping the fit quadratic; a
+    relative fit residual above `EFFECTIVE_J_MAX_RESIDUAL` raises
     NonPerturbativeRegimeError.
     """
     if system.num_transmons != 2:
@@ -313,12 +314,12 @@ def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
     inputs = PerturbativeInputs.for_pair(base, 0, 1)
     j_guess = inputs.j or SEED_J_FLOOR
     k_unit = sizzle_zz_induced(replace(inputs, j=1.0, omega0=1.0, omega1=1.0, nu_d=nu_d))
-    omega_sq = abs(target_induced / (j_guess * k_unit))
+    omega_sq = abs(EFFECTIVE_J_INDUCED / (j_guess * k_unit))
     scale = math.sqrt(omega_sq / max(tone0.amplitude * tone1.amplitude, 1e-30))
 
     relative_residual = math.inf
     for _ in range(5):
-        scales = np.linspace(0.4, 1.0, num_points) * scale
+        scales = np.linspace(0.4, 1.0, EFFECTIVE_J_POINTS) * scale
         xs, evens, ys = [], [], []
         for s in scales:
             for phi, sign in ((0.0, 1.0), (math.pi, -1.0)):
@@ -338,12 +339,12 @@ def effective_j(system: SystemSpec, probe: tuple[DriveTone, DriveTone],
         fit_resid = np.linalg.norm(ys - a @ coef)
         spread = np.linalg.norm(ys - ys.mean())
         relative_residual = fit_resid / spread if spread > 0 else 0.0
-        if relative_residual <= max_residual:
+        if relative_residual <= EFFECTIVE_J_MAX_RESIDUAL:
             return float(coef[1] / k_unit)
         scale *= 0.5  # shrink toward the quadratic regime and retry
 
     raise NonPerturbativeRegimeError(
-        f"quadratic fit residual {relative_residual:.3g} exceeds {max_residual} "
+        f"quadratic fit residual {relative_residual:.3g} exceeds {EFFECTIVE_J_MAX_RESIDUAL} "
         "even at the smallest probe amplitudes")
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from starkzz import calibrate
-from starkzz.calibrate import (ANGLE_TOLERANCE, CnotCalibration, CzCalibration,
+from starkzz.calibrate import (CnotCalibration, CzCalibration,
                                calibrate_cz, calibrated_cz_schedule,
                                chain_cancellation, driven_zz_rate,
                                find_cancellation_amplitude,
@@ -290,7 +290,7 @@ def preset_a():
 
 def gate_of(system):
     return _RepeatedGate(system, OperatingFrame(system), control=1, target=0,
-                         n_reps=17, dt=DEFAULT_DT)
+                         dt=DEFAULT_DT)
 
 
 def count_propagations(monkeypatch):
@@ -305,6 +305,29 @@ def count_propagations(monkeypatch):
     return calls
 
 
+def trial_cz():
+    """A CZ calibration whose control frame change is still to be set."""
+    return CzCalibration(
+        control_amplitude=0.03, target_amplitude=0.026, relative_phase=0.0,
+        target_frame_change=-0.21, control_frame_change=0.0,
+        gate_frequency=4.9, duration=200.0)
+
+
+class TestControlFrame:
+    def test_rows_report_fit_residual(self, preset_a, monkeypatch):
+        """Each control-frame transcript row carries the relative residual
+        of the rotation fit it was read from."""
+        fits = []
+        fit = calibrate._fit_rotation
+        monkeypatch.setattr(calibrate, "_fit_rotation",
+                            lambda *a: fits.append(fit(*a)) or fits[-1])
+        cal = trial_cz()
+        gate_of(preset_a).set_control_frame(cal, calibrated_cz_schedule, "z")
+        rows = [r for r in cal.transcript if r["iteration"] == "control-frame"]
+        assert len(rows) == len(fits) >= 2
+        assert [r["fit_residual"] for r in rows] == [residual for _, residual in fits]
+
+
 class TestRepeatedGateMemo:
     """`_RepeatedGate.unitary` propagates each distinct pulse once and puts
     trailing frame changes on as operating-frame phases."""
@@ -315,7 +338,7 @@ class TestRepeatedGateMemo:
             control_amplitude=0.024, target_amplitude=0.0026, control_phase=-0.04,
             target_phase=-0.04, target_drag=-0.52, target_skew=-0.0037,
             target_frame_change=-0.09, control_frame_change=2.38, duration=90.0)
-        sched = _cnot_schedule(cal, gate.frame.dressed_frequency(0), 1, 0, 10.0, 2.0)
+        sched = _cnot_schedule(cal, gate.frame.dressed_frequency(0), 1, 0)
         whole = propagate(preset_a, sched, frame=gate.frame).full_unitary
         assert np.linalg.norm(gate.unitary(sched) - whole) < 1e-12
 
@@ -333,12 +356,9 @@ class TestRepeatedGateMemo:
 
     def test_control_frame_propagates_each_pulse_once(self, preset_a, monkeypatch):
         gate = gate_of(preset_a)
-        cal = CzCalibration(
-            control_amplitude=0.03, target_amplitude=0.026, relative_phase=0.0,
-            target_frame_change=-0.21, control_frame_change=0.0,
-            gate_frequency=4.9, duration=200.0)
+        cal = trial_cz()
         calls = count_propagations(monkeypatch)
-        gate.set_control_frame(cal, calibrated_cz_schedule, "z", ANGLE_TOLERANCE)
+        gate.set_control_frame(cal, calibrated_cz_schedule, "z")
         rows = [r for r in cal.transcript if r["iteration"] == "control-frame"]
         assert len(rows) >= 2
         assert len(calls) == 1

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from starkzz import config, spectrum
+from starkzz import cli, config, spectrum
 from starkzz.calibrate import chain_cancellation
 from starkzz.cli import main
 from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
 from starkzz.errors import ConfigError
 from starkzz.operators import build_rwa_hamiltonian, computational_labels
-from starkzz.pulse import OperatingFrame
+from starkzz.pulse import OperatingFrame, schedule_to_document
 from starkzz.spectrum import (AMBIGUOUS_OVERLAP, apply_drive_axis,
                               driven_pair_rates, fit_bare_transmons,
                               labeled_spectrum)
@@ -22,6 +22,20 @@ def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header, *rows = csv.reader(lines)
     return header, rows
+
+
+@pytest.fixture
+def frames_built(monkeypatch):
+    """The frame frequency of every `OperatingFrame` built, in order."""
+    built = []
+    init = OperatingFrame.__init__
+
+    def counting(self, system, frame_frequency=None):
+        built.append(frame_frequency)
+        init(self, system, frame_frequency)
+
+    monkeypatch.setattr(OperatingFrame, "__init__", counting)
+    return built
 
 
 class TestConfig:
@@ -46,6 +60,11 @@ class TestConfig:
             apply_override(doc, "drives.7.amplitude=0.01")
         with pytest.raises(ConfigError):
             apply_override(doc, "no-equals-sign")
+        for assignment, where in (("transmons.x=1", "transmons.x"),
+                                  ("transmons.-1.frequency=5.2", "transmons.-1")):
+            with pytest.raises(ConfigError) as err:
+                apply_override(doc, assignment)
+            assert err.value.path == where
 
     def test_bare_fit_applied_on_load(self):
         system = to_system(load_preset("device-a"))
@@ -292,21 +311,13 @@ class TestBareFitMemo:
 
 
 class TestZxCommand:
-    def test_frames_built_once_per_system_and_frequency(self, tmp_path, monkeypatch):
+    def test_frames_built_once_per_system_and_frequency(self, tmp_path, frames_built):
         """Tones on: one operating frame.  Tones off: the probe at the
         target's bare frequency and the tomography frame at its dressed one."""
-        built = []
-        init = OperatingFrame.__init__
-
-        def counting(self, system, frame_frequency=None):
-            built.append(frame_frequency)
-            init(self, system, frame_frequency)
-
-        monkeypatch.setattr(OperatingFrame, "__init__", counting)
         out = tmp_path / "zx.csv"
         assert main(["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2",
                      "--out", str(out)]) == 0
-        assert len(built) == 3
+        assert len(frames_built) == 3
         header, rows = read_rows(out)
         assert len(rows) == 2
         assert all(r[header.index(c)] == "" for r in rows for c in ("error_on", "error_off"))
@@ -332,7 +343,38 @@ class TestZxCommand:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["zx", "--amplitudes", "0.008:0.01:2", "--dt", "0"], "--dt"),
+    (["calibrate", "cnot", "--dt", "-0.05"], "--dt"),
+    (["calibrate", "cz", "--dt", "nan"], "--dt"),
+    (["calibrate", "cnot", "--duration", "39"], "--duration"),
+    (["calibrate", "cz", "--duration", "59"], "--duration"),
+    (["zz", "--levels", "0"], "--levels"),
+    (["zz", "--set", "transmons.x=1"], "transmons.x"),
+    (["zz", "--set", "transmons.-1.frequency=5.2"], "transmons.-1")])
+def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
+    assert f"config error: {named}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCalibrateCommand:
+    def test_cnot_prints_the_scored_schedule(self, tmp_path, frames_built, monkeypatch):
+        """The calibration and the scoring build one frame each, and the
+        JSON schedule is the one the scored propagation ran."""
+        scored = []
+        score = cli.cnot_gate_result
+        monkeypatch.setattr(cli, "cnot_gate_result",
+                            lambda *a, **kw: scored.append(score(*a, **kw)) or scored[-1])
+        out = tmp_path / "cnot.json"
+        assert main(["calibrate", "cnot", "--preset", "device-a", "--duration", "90",
+                     "--out", str(out)]) == 0
+        assert len(frames_built) == 2
+        [gate] = scored
+        document = json.loads(json.dumps(schedule_to_document(gate.schedule)))
+        assert json.loads(out.read_text())["schedule"] == document
+
     def test_chain_reports_label_quality(self, tmp_path):
         doc = load_preset("device-b-chain")
         cut = {"transmons": doc["transmons"][:3],

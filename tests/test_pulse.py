@@ -545,7 +545,7 @@ class TestRotationFit:
         assert len(solves) == 2 * len(passes)
 
         solves.clear()
-        gate = _RepeatedGate(device_a, frame, control=1, target=0, n_reps=17, dt=0.05)
+        gate = _RepeatedGate(device_a, frame, control=1, target=0, dt=0.05)
         sched = PulseSchedule((Play(flat_top(0.02, duration=60.0),
                                     frame.dressed_frequency(0), 0.0, 1),))
         gate.rotations(sched, [np.zeros(3), np.array([math.pi, 0.0, 0.0])])
