@@ -22,12 +22,11 @@ import scipy.optimize
 
 from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
-from .operators import DriveRole, DriveTone, SystemSpec, bare_index, basis_label
-from .perturbation import seed_zx_rate
-from .pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
-                    OperatingFrame, Play, PulseSchedule, GateResult,
-                    _bloch_trajectory, _DriveTerm, _evolve, _fit_rotation,
-                    _frame_change_phases, propagate)
+from .operators import DriveTone, SystemSpec, bare_index, basis_label
+from .perturbation import PerturbativeInputs, seed_zx_rate, single_drive_stark
+from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
+                    PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
+                    _evolve, _fit_rotation, _frame_change_phases, propagate)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -178,10 +177,9 @@ def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
 def _seed_amplitude(base: SystemSpec, reference: LabeledSpectrum, nu_d: float,
                     seed_shift: float, phase: float, cap: float) -> float:
     """Tone amplitude on qubit 0 producing the requested Stark shift."""
-    t0 = base.transmons[0]
-    delta = t0.frequency - nu_d
-    guess = math.sqrt(abs(2.0 * seed_shift * delta * (delta + t0.anharmonicity)
-                          / t0.anharmonicity))
+    unit_tone = base.with_drives((DriveTone(0, 1.0, nu_d),))
+    stark_per_amp2 = single_drive_stark(PerturbativeInputs.for_pair(unit_tone, 0, 1), 0)
+    guess = math.sqrt(abs(2.0 * seed_shift / stark_per_amp2))
 
     def objective(amp: float) -> float:
         driven = rwa_spectrum(base.with_drives((DriveTone(0, amp, nu_d, phase),)), nu_d)
@@ -439,10 +437,8 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
 
 def _cnot_schedule(cal: CnotCalibration, carrier: float, control: int,
                    target: int) -> PulseSchedule:
-    cr_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.control_amplitude,
-                      cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS)
-    tg_env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE,
-                      cal.target_amplitude, cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS,
+    cr_env = Envelope(cal.control_amplitude, cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS)
+    tg_env = Envelope(cal.target_amplitude, cal.duration, GATE_SIGMA, CNOT_RISE_SIGMAS,
                       drag_beta=cal.target_drag, skew_gamma=cal.target_skew)
     return PulseSchedule((
         Play(cr_env, carrier, cal.control_phase, control),
@@ -473,8 +469,7 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
     carrier = gate.frame.dressed_frequency(target)
-    gate_area = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 1.0, duration, GATE_SIGMA,
-                         CNOT_RISE_SIGMAS).flat_area
+    gate_area = Envelope(1.0, duration, GATE_SIGMA, CNOT_RISE_SIGMAS).flat_area
     desired = (np.zeros(3), np.array([-math.pi, 0.0, 0.0]))
 
     def schedule(c: CnotCalibration) -> PulseSchedule:
@@ -564,10 +559,8 @@ def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
 def calibrated_cz_schedule(cal: CzCalibration, control: int = 1,
                            target: int = 0) -> PulseSchedule:
     """Schedule realizing a conditional-phase gate from its calibration."""
-    c_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.control_amplitude,
-                     cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
-    t_env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, cal.target_amplitude,
-                     cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
+    c_env = Envelope(cal.control_amplitude, cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
+    t_env = Envelope(cal.target_amplitude, cal.duration, GATE_SIGMA, CZ_RISE_SIGMAS)
     return PulseSchedule((
         Play(c_env, cal.gate_frequency, cal.relative_phase, control),
         Play(t_env, cal.gate_frequency, 0.0, target),
@@ -634,10 +627,8 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
             phis = np.linspace(0.0, TWO_PI, 9)[:-1]
             rates = []
             for phi in phis:
-                tones = (DriveTone(control, gate_amplitude, gate_frequency, phi,
-                                   role=DriveRole.GATE),
-                         DriveTone(target, gate_amplitude, gate_frequency, 0.0,
-                                   role=DriveRole.GATE),)
+                tones = (DriveTone(control, gate_amplitude, gate_frequency, phi),
+                         DriveTone(target, gate_amplitude, gate_frequency, 0.0))
                 rates.append(driven_zz_rate(system, tones, dt=dt, q0=target,
                                             q1=control, frame=gate.frame))
             rates = np.array(rates)

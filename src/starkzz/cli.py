@@ -138,25 +138,28 @@ def cmd_zz(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _parse_axis(spec: str):
+def _parse_axis(spec: str, flag: str):
+    """PATH:START:STOP:COUNT as (path, grid); errors name `flag`."""
     parts = spec.split(":")
     if len(parts) != 4:
-        raise ConfigError(f"axis {spec!r} must be PATH:START:STOP:COUNT")
+        raise ConfigError(f"axis {spec!r} must be PATH:START:STOP:COUNT", flag)
     path, start, stop, count = parts
     try:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
-        raise ConfigError(f"axis {spec!r}: {exc}")
+        raise ConfigError(f"axis {spec!r}: {exc}", flag)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"axis {spec!r}: start and stop must be finite", flag)
     if count < 2:
-        raise ConfigError(f"axis {spec!r}: count must be >= 2")
+        raise ConfigError(f"axis {spec!r}: count must be >= 2", flag)
     if start == stop:
-        raise ConfigError(f"axis {spec!r}: start and stop must differ")
+        raise ConfigError(f"axis {spec!r}: start and stop must differ", flag)
     return path, np.linspace(start, stop, count)
 
 
 def cmd_sweep(args) -> int:
     doc = _effective_config(args)
-    axes = [_parse_axis(spec) for spec in args.axis]
+    axes = [_parse_axis(spec, "--axis") for spec in args.axis]
     if not 1 <= len(axes) <= 2:
         raise ConfigError("one or two --axis definitions required")
     q0, q1 = doc["pair"]
@@ -217,7 +220,7 @@ def cmd_zx(args) -> int:
     q0, q1 = doc["pair"]
     control, target = (args.control, args.target)
     check_transmon_pair([control, target], system.num_transmons, "--control/--target")
-    _, values = _parse_axis(f"omega_cr:{args.amplitudes}")
+    _, values = _parse_axis(f"omega_cr:{args.amplitudes}", "--amplitudes")
 
     # One frame per (system, frequency) for all amplitudes: tones on, the operating
     # frame; tones off, a probe at the target's bare frequency and one at its dressed one.
@@ -231,7 +234,7 @@ def cmd_zx(args) -> int:
                 if omega == 0.0:
                     tomo = 0.0
                 else:
-                    if variant.cancellation_drives():
+                    if variant.drives:
                         tomography = frame(variant)
                         carrier = tomography.dressed_frequency(target)
                     else:
@@ -262,6 +265,14 @@ def cmd_zx(args) -> int:
 
 def cmd_calibrate(args) -> int:
     doc = _effective_config(args)
+    positive = {"--gate-frequency": args.gate_frequency, "--max-scale": args.max_scale,
+                "--drive-frequency": args.drive_frequency, "--seed-shift": args.seed_shift}
+    for flag, value in positive.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"must be positive and finite, got {value}", flag)
+    if not 0.0 <= args.gate_amplitude < math.inf:
+        raise ConfigError(f"must be non-negative and finite, got {args.gate_amplitude}",
+                          "--gate-amplitude")
     system = to_system(doc)
     transcript_rows: list[tuple] = []
     transcript_columns: list[str] = []

@@ -17,8 +17,7 @@ import json
 from dataclasses import replace
 
 from .errors import ConfigError
-from .operators import (CouplingKind, CouplingSpec, DriveRole, DriveTone,
-                        SystemSpec, TransmonSpec)
+from .operators import CouplingKind, CouplingSpec, DriveTone, SystemSpec, TransmonSpec
 from .spectrum import fit_bare_transmons
 
 PRESETS = ("device-a", "device-b-pair", "device-b-chain")
@@ -89,9 +88,9 @@ def validate_config(document: dict) -> dict:
             if key not in d:
                 raise ConfigError(f"missing {key}", f"drives[{i}]")
         d.setdefault("phase", 0.0)
-        role = d.setdefault("role", "cancellation")
-        if role not in ("cancellation", "gate"):
-            raise ConfigError("role must be 'cancellation' or 'gate'",
+        if d.setdefault("role", "cancellation") != "cancellation":
+            raise ConfigError("must be 'cancellation': config drives are "
+                              "always-on tones, gate pulses come from schedules",
                               f"drives[{i}].role")
     check_transmon_pair(doc.setdefault("pair", [0, 1]), len(transmons), "pair")
     doc.setdefault("couplings", [])
@@ -137,8 +136,7 @@ def to_system(document: dict) -> SystemSpec:
                     bus_couplings=tuple(c.get("bus_couplings", ())),
                     bus_levels=c.get("bus_levels", 3)))
         drives = tuple(
-            DriveTone(d["target"], d["amplitude"], d["frequency"], d["phase"],
-                      DriveRole(d["role"]))
+            DriveTone(d["target"], d["amplitude"], d["frequency"], d["phase"])
             for d in doc["drives"])
         system = SystemSpec(transmons=transmons, couplings=tuple(couplings),
                             drives=drives, dimension_cap=doc["dimension_cap"])

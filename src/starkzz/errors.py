@@ -48,10 +48,9 @@ class CancellationUnreachableError(StarkZZError):
 class NonconvergenceError(StarkZZError):
     """An iterative calibration loop exceeded its iteration cap."""
 
-    def __init__(self, message, transcript=None, residuals=None):
+    def __init__(self, message, transcript=None):
         super().__init__(message)
         self.transcript = transcript or []
-        self.residuals = residuals
 
 
 class ConfigError(StarkZZError):

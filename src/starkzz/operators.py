@@ -44,11 +44,6 @@ class CouplingKind(enum.Enum):
     BUS = "bus"
 
 
-class DriveRole(enum.Enum):
-    CANCELLATION = "cancellation"
-    GATE = "gate"
-
-
 @dataclass(frozen=True)
 class TransmonSpec:
     """One anharmonic oscillator.
@@ -123,17 +118,17 @@ def bus_coupling(p: int, q: int, bus_frequency: float,
 
 @dataclass(frozen=True)
 class DriveTone:
-    """One monochromatic drive on a transmon.
+    """One always-on (CW) monochromatic drive on a transmon.
 
-    The phase is stored normalized to [0, 2 pi).  Cancellation tones are CW
-    and always on; gate tones are only meaningful to pulse-level propagation.
+    The phase is stored normalized to [0, 2 pi).  A system's drives are
+    its cancellation tones; gate pulses are `pulse.Play` items of a
+    schedule.
     """
 
     target: int
     amplitude: float
     frequency: float
     phase: float = 0.0
-    role: DriveRole = DriveRole.CANCELLATION
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -200,9 +195,6 @@ class SystemSpec:
 
     def with_drives(self, drives) -> "SystemSpec":
         return replace(self, drives=tuple(drives))
-
-    def cancellation_drives(self) -> tuple[DriveTone, ...]:
-        return tuple(d for d in self.drives if d.role is DriveRole.CANCELLATION)
 
     def with_levels(self, levels: int) -> "SystemSpec":
         """Same system with every transmon truncated at `levels`."""

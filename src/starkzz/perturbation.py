@@ -49,14 +49,13 @@ class PerturbativeInputs:
 
         `j` is the signed sum of the pair's direct strengths (0 for a
         bus-only pair), the amplitudes and the phase difference are those
-        of the pair's cancellation tones, and `nu_d` is the frequency of the
-        system's first cancellation tone (0 without one).
+        of the pair's tones, and `nu_d` is the frequency of the system's
+        first tone (0 without one).
         """
         t0, t1 = system.transmons[q0], system.transmons[q1]
         j = sum(c.strength for c in system.couplings
                 if c.strength is not None and set(c.endpoints) == {q0, q1})
-        cw = system.cancellation_drives()
-        tones = {d.target: d for d in cw}
+        tones = {d.target: d for d in system.drives}
         both = q0 in tones and q1 in tones
         return cls(
             nu0=t0.frequency, nu1=t1.frequency, alpha0=t0.anharmonicity,
@@ -64,7 +63,7 @@ class PerturbativeInputs:
             omega0=tones[q0].amplitude if q0 in tones else 0.0,
             omega1=tones[q1].amplitude if q1 in tones else 0.0,
             phi=tones[q0].phase - tones[q1].phase if both else 0.0,
-            nu_d=cw[0].frequency if cw else 0.0)
+            nu_d=system.drives[0].frequency if system.drives else 0.0)
 
     @property
     def delta01(self) -> float:

@@ -11,7 +11,6 @@ exp(+i phi) raising-operator convention of the rest of the package.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,8 @@ import numpy as np
 import scipy.optimize
 
 from .errors import StepSizeError, TomographyFitError
-from .operators import (DriveRole, SystemSpec, bare_index, basis_label,
-                        build_rwa_hamiltonian, computational_labels, mode_operators)
+from .operators import (SystemSpec, bare_index, basis_label, build_rwa_hamiltonian,
+                        computational_labels, mode_operators)
 from .perturbation import seed_zx_rate
 from .spectrum import assign_labels
 
@@ -28,13 +27,6 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_DT = 0.05
 UNITARITY_TOL = 1e-6
-
-
-class EnvelopeKind(enum.Enum):
-    #: Plain flat-top Gaussian; no quadrature component.
-    FLAT_TOP_GAUSSIAN = "flat_top_gaussian"
-    #: Flat-top Gaussian with derivative (DRAG) and skew quadrature.
-    GAUSSIAN_DERIVATIVE_QUADRATURE = "gaussian_derivative_quadrature"
 
 
 @dataclass(frozen=True)
@@ -45,10 +37,10 @@ class Envelope:
     peak `amplitude`, and falls symmetrically; the Gaussian tails are
     truncated (not baseline-subtracted), so the value at the endpoints is
     the truncated tail value.  The quadrature component is
-    beta * d/dt + gamma * |d/dt| of the in-phase part.
+    beta * d/dt + gamma * |d/dt| of the in-phase part; with beta = gamma = 0
+    it is a plain flat-top Gaussian.
     """
 
-    kind: EnvelopeKind
     amplitude: float
     duration: float
     sigma: float
@@ -63,10 +55,6 @@ class Envelope:
             raise ValueError(
                 f"duration {self.duration} ns shorter than rise plus fall "
                 f"{2 * self.rise_fall_sigmas * self.sigma} ns")
-        if self.kind is EnvelopeKind.FLAT_TOP_GAUSSIAN and (
-                self.drag_beta != 0.0 or self.skew_gamma != 0.0):
-            raise ValueError("plain flat-top envelopes carry no quadrature "
-                             "corrections; use the derivative-quadrature kind")
 
     @property
     def edge(self) -> float:
@@ -113,25 +101,14 @@ class FrameChange:
     target: int
 
 
-class Barrier:
-    """Alignment point: subsequent items start after all earlier ones."""
-
-    def __repr__(self):
-        return "Barrier()"
-
-
-BARRIER = Barrier()
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Time-ordered pulse items with sequential per-target placement.
 
     Each target has its own clock: a Play occupies [clock, clock+duration)
-    on its target, a FrameChange is instantaneous at the target's clock,
-    and a Barrier aligns all clocks.  `total_duration` may be given
-    explicitly to pad the schedule with idle time; it defaults to the
-    latest clock.
+    on its target and a FrameChange is instantaneous at the target's
+    clock.  `total_duration` may be given explicitly to pad the schedule
+    with idle time; it defaults to the latest clock.
     """
 
     items: tuple = ()
@@ -142,10 +119,7 @@ class PulseSchedule:
         clocks = [0.0] * num_targets
         plays, frame_changes = [], []
         for item in self.items:
-            if isinstance(item, Barrier):
-                latest = max(clocks, default=0.0)
-                clocks = [latest] * num_targets
-            elif isinstance(item, Play):
+            if isinstance(item, Play):
                 start = clocks[item.target]
                 plays.append((start, item))
                 clocks[item.target] = start + item.envelope.duration
@@ -166,9 +140,7 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
     """JSON-compatible document for a schedule."""
     items = []
     for item in schedule.items:
-        if isinstance(item, Barrier):
-            items.append({"type": "barrier"})
-        elif isinstance(item, FrameChange):
+        if isinstance(item, FrameChange):
             items.append({"type": "frame_change", "angle": item.angle,
                           "target": item.target})
         elif isinstance(item, Play):
@@ -178,7 +150,7 @@ def schedule_to_document(schedule: PulseSchedule) -> dict:
                 "carrier_frequency": item.carrier_frequency,
                 "carrier_phase": item.carrier_phase,
                 "envelope": {
-                    "kind": env.kind.value, "amplitude": env.amplitude,
+                    "amplitude": env.amplitude,
                     "duration": env.duration, "sigma": env.sigma,
                     "rise_fall_sigmas": env.rise_fall_sigmas,
                     "drag_beta": env.drag_beta, "skew_gamma": env.skew_gamma,
@@ -228,11 +200,7 @@ class OperatingFrame:
     """
 
     def __init__(self, system: SystemSpec, frame_frequency: float | None = None):
-        gate_drives = [d for d in system.drives if d.role is DriveRole.GATE]
-        if gate_drives:
-            raise ValueError("gate-role tones must come from the schedule, "
-                             "not the system drive list")
-        cw = system.cancellation_drives()
+        cw = system.drives
         if frame_frequency is None:
             frame_frequency = cw[0].frequency if cw else 0.0
         self.system = system
@@ -531,7 +499,7 @@ def _frame_change_phases(frame: OperatingFrame, fc: FrameChange) -> np.ndarray:
 
 
 def default_frame_frequency(system: SystemSpec, schedule: PulseSchedule) -> float:
-    cw = system.cancellation_drives()
+    cw = system.drives
     if cw:
         return cw[0].frequency
     plays = [item for item in schedule.items if isinstance(item, Play)]
@@ -673,7 +641,7 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
     MAX_REL_RESIDUAL.
     """
     if frame is None:
-        cw = system.cancellation_drives()
+        cw = system.drives
         frame = OperatingFrame(system, cw[0].frequency if cw else cr_frequency)
     tone = _DriveTerm(target=control, start=0.0, envelope=None,
                       amplitude=cr_amplitude, phase=0.0,

@@ -14,12 +14,11 @@ from starkzz.calibrate import (CnotCalibration, CzCalibration,
 from starkzz.config import load_preset, to_system
 from starkzz.errors import (CancellationUnreachableError,
                             InsufficientAmplitudeError, NonconvergenceError)
-from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
-                               direct_coupling)
+from starkzz.operators import DriveTone, SystemSpec, TransmonSpec, direct_coupling
 from starkzz.perturbation import (PerturbativeInputs, sizzle_zz_induced,
                                   static_zz)
-from starkzz.pulse import (DEFAULT_DT, Envelope, EnvelopeKind, FrameChange,
-                           OperatingFrame, Play, PulseSchedule, propagate)
+from starkzz.pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
+                           PulseSchedule, propagate)
 from starkzz import spectrum
 from starkzz.spectrum import (driven_pair_rates, pair_rates, rwa_spectrum,
                               undriven_reference)
@@ -232,8 +231,8 @@ class TestDrivenZzRate:
         operating basis), hence the few-percent tolerance.
         """
         cw = tone_pair(0.030, 0.015)
-        extra = (DriveTone(0, 0.012, NU_D, math.pi, role=DriveRole.GATE),
-                 DriveTone(1, 0.006, NU_D, 0.0, role=DriveRole.GATE))
+        extra = (DriveTone(0, 0.012, NU_D, math.pi),
+                 DriveTone(1, 0.006, NU_D, 0.0))
         merged = device_a.with_drives(tone_pair(0.042, 0.021))
         spectral = driven_pair_rates(merged).zz
         time_domain = driven_zz_rate(device_a.with_drives(cw), extra,
@@ -255,8 +254,8 @@ class TestDrivenZzRatePair:
     def test_rate_of_the_requested_pair(self):
         """On a pair other than (0, 1) the time-domain rate matches the
         merged-tone spectrum of that pair."""
-        extra = (DriveTone(1, 0.012, NU_D, math.pi, role=DriveRole.GATE),
-                 DriveTone(2, 0.006, NU_D, 0.0, role=DriveRole.GATE))
+        extra = (DriveTone(1, 0.012, NU_D, math.pi),
+                 DriveTone(2, 0.006, NU_D, 0.0))
         spectral = driven_pair_rates(spectator_pair((0.042, 0.021)), 1, 2).zz
         time_domain = driven_zz_rate(spectator_pair((0.030, 0.015)), extra,
                                      duration=200.0, q0=1, q1=2)
@@ -344,7 +343,7 @@ class TestRepeatedGateMemo:
 
     def test_early_frame_change_propagated_whole(self, preset_a, monkeypatch):
         gate = gate_of(preset_a)
-        env = Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 0.02, 60.0, 10.0, 2.0)
+        env = Envelope(0.02, 60.0, 10.0, 2.0)
         sched = PulseSchedule((FrameChange(0.7, 0),
                                Play(env, gate.frame.dressed_frequency(0), 0.3, 0),
                                FrameChange(-0.4, 1)))

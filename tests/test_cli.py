@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ class TestConfig:
         assert main(["zz", "--preset", "device-a", "--set", f"pair={pair}"]) == 2
         assert "config error: pair: must be two distinct transmon indices" \
             in capsys.readouterr().err
+
+    def test_readme_config_example(self):
+        """The JSON block under README's "Config format" is a valid config."""
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Config format", 1)[1]
+        document = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        system = to_system(validate_config(document))
+        assert (system.num_transmons, len(system.couplings), len(system.drives)) == (2, 2, 1)
 
     def test_hash_stable_under_key_order(self):
         doc = load_preset("device-a")
@@ -351,7 +360,19 @@ class TestZxCommand:
     (["calibrate", "cz", "--duration", "59"], "--duration"),
     (["zz", "--levels", "0"], "--levels"),
     (["zz", "--set", "transmons.x=1"], "transmons.x"),
-    (["zz", "--set", "transmons.-1.frequency=5.2"], "transmons.-1")])
+    (["zz", "--set", "transmons.-1.frequency=5.2"], "transmons.-1"),
+    (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes"),
+    (["sweep", "--axis", "drives.scale:0.5:inf:3"], "--axis"),
+    (["calibrate", "cz", "--gate-frequency", "nan"], "--gate-frequency"),
+    (["calibrate", "cz", "--gate-amplitude", "-0.01"], "--gate-amplitude"),
+    (["calibrate", "cz", "--gate-amplitude", "inf"], "--gate-amplitude"),
+    (["calibrate", "chain", "--drive-frequency", "inf"], "--drive-frequency"),
+    (["calibrate", "chain", "--seed-shift", "0"], "--seed-shift"),
+    (["calibrate", "cancel", "--max-scale", "nan"], "--max-scale"),
+    *[([*command, "--set", "drives.0.role=gate"], "drives[0].role")
+      for command in (["zz"], ["sweep", "--axis", "drives.scale:0.5:1:2"],
+                      ["zx", "--amplitudes", "0.008:0.01:2"],
+                      *(["calibrate", gate] for gate in ("cnot", "cz", "cancel", "chain")))]])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2

@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "starkzz").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+SOURCES = sorted([*(ROOT / "src" / "starkzz").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def dotted(node) -> str | None:

@@ -1,14 +1,12 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starkzz.errors import SingularDetuningError
-from starkzz.operators import (DriveRole, DriveTone, SystemSpec, TransmonSpec,
-                               direct_coupling)
+from starkzz.operators import DriveTone, SystemSpec, TransmonSpec, direct_coupling
 from starkzz.perturbation import (PerturbativeInputs, dressed_single_qubit_terms,
                                   single_drive_stark, sizzle_zz, sizzle_zz_induced,
                                   static_zz, two_level_zz, zx_first_order,
@@ -275,12 +273,11 @@ class TestForPair:
         assert inputs == device_a_inputs(device_a, omega0=0.059, omega1=0.022,
                                          phi=math.pi, nu_d=5.1)
 
-    def test_bus_only_pair_and_gate_tones(self, device_b_pair):
-        """J counts only the pair's direct strengths; gate-role tones are
-        not cancellation tones."""
+    def test_bus_only_pair(self, device_b_pair):
+        """J counts only the pair's direct strengths; an undriven pair has
+        no tone amplitude or frequency."""
         bus_only = replace(device_b_pair, couplings=device_b_pair.couplings[1:])
-        gate = DriveTone(0, 0.03, 4.9, 0.0, role=DriveRole.GATE)
-        inputs = PerturbativeInputs.for_pair(bus_only.with_drives((gate,)), 0, 1)
+        inputs = PerturbativeInputs.for_pair(bus_only, 0, 1)
         assert (inputs.j, inputs.omega0, inputs.nu_d) == (0.0, 0.0, 0.0)
         assert PerturbativeInputs.for_pair(device_b_pair, 0, 1).j == 0.0106
 

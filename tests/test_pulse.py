@@ -8,17 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starkzz.calibrate import _RepeatedGate
-from starkzz.errors import StepSizeError, TomographyFitError
+from starkzz.errors import TomographyFitError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec, basis_label,
                                computational_labels, direct_coupling, index_to_label)
 from starkzz import pulse
-from starkzz.pulse import (BARRIER, STEP_CHUNK, TAYLOR_THETA, TWO_PI, Envelope,
-                           EnvelopeKind, FrameChange, OperatingFrame, Play,
-                           PulseSchedule, block_leakage, extract_pauli_rates,
+from starkzz.pulse import (STEP_CHUNK, TAYLOR_THETA, TWO_PI, Envelope, FrameChange,
+                           OperatingFrame, Play, PulseSchedule, block_leakage, extract_pauli_rates,
                            gate_fidelity, propagate, sample_envelope, _DriveTerm,
                            _evolve, _fit_rotation, _frame_change_phases,
                            _ordered_product, _rotation_model, _step_exponentials)
-from starkzz.spectrum import driven_pair_rates, undriven_reference
+from starkzz.spectrum import driven_pair_rates
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                 dtype=complex)
@@ -26,10 +25,7 @@ CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def flat_top(amplitude, duration=50.0, sigma=10.0, rise=2.0, beta=0.0, gamma=0.0):
-    if beta or gamma:
-        return Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, amplitude,
-                        duration, sigma, rise, drag_beta=beta, skew_gamma=gamma)
-    return Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, amplitude, duration, sigma, rise)
+    return Envelope(amplitude, duration, sigma, rise, drag_beta=beta, skew_gamma=gamma)
 
 
 def single_transmon(levels=5):
@@ -77,9 +73,6 @@ class TestEnvelope:
     def test_validation(self):
         with pytest.raises(ValueError):
             flat_top(0.02, duration=30.0, sigma=10.0, rise=2.0)  # too short
-        with pytest.raises(ValueError):
-            Envelope(EnvelopeKind.FLAT_TOP_GAUSSIAN, 0.02, 50.0, 10.0,
-                     drag_beta=0.1)
         env = flat_top(0.02)
         with pytest.raises(ValueError):
             sample_envelope(env, -1.0)
@@ -88,10 +81,11 @@ class TestEnvelope:
 
 
 class TestSchedule:
-    def test_sequential_and_barrier_timing(self):
+    def test_sequential_timing(self):
+        """Each target keeps its own clock."""
         env = flat_top(0.01)
         sched = PulseSchedule((Play(env, 5.0, 0.0, 0), Play(env, 5.0, 0.0, 1),
-                               BARRIER, Play(env, 5.0, 0.0, 0)))
+                               Play(env, 5.0, 0.0, 0)))
         plays, _, end = sched.timed_items(2)
         starts = [s for s, _ in plays]
         assert starts == [0.0, 0.0, 50.0]
@@ -163,13 +157,6 @@ class TestPropagateBasics:
         d2 = np.linalg.norm(blocks[0.05] - blocks[0.025])
         assert d2 < d1 / 3.0  # second-order stepping
         assert d2 < 1e-3
-
-    def test_gate_role_drives_rejected(self, device_a):
-        from starkzz.operators import DriveRole
-        bad = device_a.with_drives(
-            (DriveTone(0, 0.01, 5.0, 0.0, DriveRole.GATE),))
-        with pytest.raises(ValueError):
-            propagate(bad, PulseSchedule((), total_duration=10.0))
 
 
 def sequential_midpoint(frame, terms, t0, t1, dt, u):
@@ -305,7 +292,7 @@ class TestStepping:
         chunk); at dt = 1 ns the static part alone puts 2 pi h |H|_1 past
         twice TAYLOR_THETA, so every stack is squared."""
         frame = qutrit_pair_frame
-        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
+        env = Envelope(0.03, 40.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         term = _DriveTerm(target=0, start=0.0, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
@@ -364,7 +351,7 @@ class TestStepping:
         before and after the Play is a constant stretch: it is not split,
         and its snapshots, from powers of one dt step, match the oracle too."""
         frame = qutrit_pair_frame
-        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 40.0,
+        env = Envelope(0.03, 40.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
@@ -381,7 +368,7 @@ class TestStepping:
         constant Hamiltonians, stepped as periodic stretches of period dt:
         no `eigh`, and every snapshot matches the stepwise oracle."""
         frame = qutrit_pair_frame
-        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 60.0,
+        env = Envelope(0.03, 60.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0, phase=0.4)
@@ -398,7 +385,7 @@ class TestStepping:
     def test_flat_top_play_matches_loop(self, qutrit_pair_frame, monkeypatch):
         """A detuned flat-top Play whose flat middle spans 20 periods."""
         frame = qutrit_pair_frame
-        env = Envelope(EnvelopeKind.GAUSSIAN_DERIVATIVE_QUADRATURE, 0.03, 254.0,
+        env = Envelope(0.03, 254.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
@@ -559,18 +546,15 @@ class TestScheduleDocuments:
         from starkzz.pulse import schedule_to_document
         sched = PulseSchedule((
             Play(flat_top(0.02, beta=0.4, gamma=0.1), 4.95, 0.3, 0),
-            BARRIER,
             FrameChange(0.7, 1)), total_duration=160.0)
         doc = json.loads(json.dumps(schedule_to_document(sched)))
         assert doc == {
             "items": [
                 {"type": "play", "target": 0, "carrier_frequency": 4.95,
                  "carrier_phase": 0.3,
-                 "envelope": {"kind": "gaussian_derivative_quadrature",
-                              "amplitude": 0.02, "duration": 50.0, "sigma": 10.0,
+                 "envelope": {"amplitude": 0.02, "duration": 50.0, "sigma": 10.0,
                               "rise_fall_sigmas": 2.0, "drag_beta": 0.4,
                               "skew_gamma": 0.1}},
-                {"type": "barrier"},
                 {"type": "frame_change", "angle": 0.7, "target": 1}],
             "total_duration": 160.0}
 

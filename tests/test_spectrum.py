@@ -14,10 +14,10 @@ from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, computational_labels,
                                direct_coupling)
-from starkzz.spectrum import (AMBIGUOUS_OVERLAP, LabeledSpectrum, driven_pair_rates,
-                              effective_j, fit_bare_transmons, labeled_spectrum,
-                              pair_rates, rwa_spectrum, single_path_equivalent,
-                              static_spectrum, undriven_reference, zz_vs_parameter)
+from starkzz.spectrum import (AMBIGUOUS_OVERLAP, driven_pair_rates, effective_j,
+                              fit_bare_transmons, labeled_spectrum, pair_rates,
+                              rwa_spectrum, single_path_equivalent, static_spectrum,
+                              undriven_reference, zz_vs_parameter)
 
 NU_D_FIG1 = 5.075
 
