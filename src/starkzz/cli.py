@@ -71,10 +71,13 @@ def write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
             fh.write(text)
 
 
-def _csv_header(doc, seed, units: dict[str, str]) -> list[str]:
+def _csv_header(doc, seed, units: dict[str, str], dt: float | None = None) -> list[str]:
+    """Header lines; `dt`, the largest propagation step, for commands that propagate."""
     lines = [f"tool: starkzz {__version__}",
              f"config: {doc.get('name', 'unnamed')} hash {config_hash(doc)}",
              f"seed: {seed}"]
+    if dt is not None:
+        lines.append(f"dt: {_fmt(dt)}")
     lines.extend(f"column {name}: {unit}" for name, unit in units.items())
     return lines
 
@@ -138,23 +141,30 @@ def cmd_zz(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _parse_grid(spec: str, flag: str) -> np.ndarray:
+    """START:STOP:COUNT as a grid; errors quote `spec` and name `flag`."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{spec!r} must be START:STOP:COUNT", flag)
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"{spec!r}: {exc}", flag)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{spec!r}: start and stop must be finite", flag)
+    if count < 2:
+        raise ConfigError(f"{spec!r}: count must be >= 2", flag)
+    if start == stop:
+        raise ConfigError(f"{spec!r}: start and stop must differ", flag)
+    return np.linspace(start, stop, count)
+
+
 def _parse_axis(spec: str, flag: str):
     """PATH:START:STOP:COUNT as (path, grid); errors name `flag`."""
-    parts = spec.split(":")
-    if len(parts) != 4:
+    if spec.count(":") != 3:
         raise ConfigError(f"axis {spec!r} must be PATH:START:STOP:COUNT", flag)
-    path, start, stop, count = parts
-    try:
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError as exc:
-        raise ConfigError(f"axis {spec!r}: {exc}", flag)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"axis {spec!r}: start and stop must be finite", flag)
-    if count < 2:
-        raise ConfigError(f"axis {spec!r}: count must be >= 2", flag)
-    if start == stop:
-        raise ConfigError(f"axis {spec!r}: start and stop must differ", flag)
-    return path, np.linspace(start, stop, count)
+    path, _, grid = spec.partition(":")
+    return path, _parse_grid(grid, flag)
 
 
 def cmd_sweep(args) -> int:
@@ -220,7 +230,7 @@ def cmd_zx(args) -> int:
     q0, q1 = doc["pair"]
     control, target = (args.control, args.target)
     check_transmon_pair([control, target], system.num_transmons, "--control/--target")
-    _, values = _parse_axis(f"omega_cr:{args.amplitudes}", "--amplitudes")
+    values = _parse_grid(args.amplitudes, "--amplitudes")
 
     # One frame per (system, frequency) for all amplitudes: tones on, the operating
     # frame; tones off, a probe at the target's bare frequency and one at its dressed one.
@@ -256,7 +266,7 @@ def cmd_zx(args) -> int:
     columns = ["omega_cr", "zx_tomography_on", "zx_perturbative_on", "error_on",
                "zx_tomography_off", "zx_perturbative_off", "error_off"]
     units = {c: ("text" if c.startswith("error") else "GHz") for c in columns}
-    write_csv(args.out, _csv_header(doc, args.seed, units), columns, rows)
+    write_csv(args.out, _csv_header(doc, args.seed, units, args.dt), columns, rows)
     return EXIT_OK
 
 
@@ -338,6 +348,7 @@ def cmd_calibrate(args) -> int:
                if f.name not in ("converged", "transcript")},
             "fidelity": gate.fidelity,
             "leakage": gate.leakage,
+            "dt": args.dt,
             "schedule": schedule_to_document(gate.schedule),
         }
         transcript_columns, transcript_rows = _transcript_table(cal.transcript)
@@ -389,7 +400,8 @@ def _add_common(parser) -> None:
     parser.add_argument("--out", help="output path (JSON or CSV by subcommand)")
     parser.add_argument("--levels", type=int, help="override transmon truncation")
     parser.add_argument("--dt", type=float, default=DEFAULT_DT,
-                        help="propagation step in ns")
+                        help="largest propagation step in ns (fourth-order "
+                             "commutator-free Magnus steps, error ~ dt^4)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for sweep grids")
     parser.add_argument("--seed", type=int, default=0,

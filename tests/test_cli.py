@@ -338,6 +338,12 @@ class TestZxCommand:
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_header_echoes_dt(self, tmp_path):
+        out = tmp_path / "zx.csv"
+        assert main(["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2",
+                     "--dt", "0.2", "--out", str(out)]) == 0
+        assert "# dt: 0.2\n" in out.read_text().split("omega_cr,")[0]
+
     @pytest.mark.parametrize("flags, named", [
         (["--target", "5"], "got [1, 5]"), (["--control", "-1"], "got [-1, 0]"),
         (["--control", "0"], "got [0, 0]")])
@@ -372,7 +378,8 @@ class TestZxCommand:
     *[([*command, "--set", "drives.0.role=gate"], "drives[0].role")
       for command in (["zz"], ["sweep", "--axis", "drives.scale:0.5:1:2"],
                       ["zx", "--amplitudes", "0.008:0.01:2"],
-                      *(["calibrate", gate] for gate in ("cnot", "cz", "cancel", "chain")))]])
+                      *(["calibrate", gate] for gate in ("cnot", "cz", "cancel", "chain")))],
+    (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes: 'nan:0.01:2'")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -395,6 +402,13 @@ class TestCalibrateCommand:
         [gate] = scored
         document = json.loads(json.dumps(schedule_to_document(gate.schedule)))
         assert json.loads(out.read_text())["schedule"] == document
+
+    @pytest.mark.parametrize("gate, duration", [("cnot", "90"), ("cz", "200")])
+    def test_json_echoes_dt(self, tmp_path, gate, duration):
+        out = tmp_path / f"{gate}.json"
+        assert main(["calibrate", gate, "--preset", "device-a", "--duration", duration,
+                     "--dt", "0.2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dt"] == 0.2
 
     def test_chain_reports_label_quality(self, tmp_path):
         doc = load_preset("device-b-chain")
