@@ -203,7 +203,7 @@ def cmd_sweep(args) -> int:
             return (*point, float("nan"), float("nan"), float("nan"),
                     float("nan"), 0, f"{type(exc).__name__}: {exc}")
 
-    if args.threads and args.threads > 1:
+    if args.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(evaluate, grid))
     else:
@@ -389,6 +389,8 @@ def _effective_config(args) -> dict:
         doc = with_levels(doc, args.levels)
     if not 0.0 < args.dt < math.inf:
         raise ConfigError(f"must be a positive step in ns, got {args.dt}", "--dt")
+    if args.threads < 1:
+        raise ConfigError(f"must be at least 1, got {args.threads}", "--threads")
     return validate_config(doc)
 
 
@@ -403,7 +405,7 @@ def _add_common(parser) -> None:
                         help="largest propagation step in ns (fourth-order "
                              "commutator-free Magnus steps, error ~ dt^4)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep grids")
+                        help="worker threads for sweep grids (N >= 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="recorded in output headers (all fits are "
                              "deterministic)")

@@ -13,7 +13,10 @@ changes, only its coefficients: H = D + sum_k c_k O_k, with D diagonal.
 `mode_operators` caches, per `dims`, each mode's embedded sparse ladder
 operators and the occupation-number grid.  Every builder evaluates D (Duffing
 and bus energies) from the occupations and adds the coupling and drive
-terms as coefficients times products of the cached operators.  The
+terms as coefficients times products of the cached operators.  In the
+rotating frame only the drive terms change from one sweep point to the
+next, so `undriven_rwa_hamiltonian` caches D plus the couplings per
+undriven system and frame, and each build adds its drives to that.  The
 dressed-to-bare parameter fit that measured devices need is memoised per
 undriven system in `config.to_system`, so drive-only sweeps fit once.
 """
@@ -281,10 +284,12 @@ def mode_operators(dims: tuple[int, ...]):
 
 
 def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.sparse.csr_matrix:
-    """Diagonal (Duffing and bus energies) plus the coupling and drive terms.
+    """Diagonal (Duffing and bus energies) plus the coupling terms; drives ignored.
 
-    Terms are added one at a time in declaration order; that order fixes
-    the rounding of every entry, and with it every downstream output.
+    Terms are added one at a time in declaration order, and
+    `build_rwa_hamiltonian_sparse` adds the drive terms after them, also in
+    declaration order; that order fixes the rounding of every entry, and
+    with it every downstream output.
     """
     occupations, a, adag = mode_operators(system.dims)
     diagonal = np.zeros(occupations.shape[1])
@@ -311,15 +316,27 @@ def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.spars
                 couple(endpoint, bus_slot, g)
             bus_slot += 1
 
-    if rwa:
-        for d in system.drives:
-            half = 0.5 * d.amplitude
-            terms.append(half * np.exp(1j * d.phase) * adag[d.target]
-                         + half * np.exp(-1j * d.phase) * a[d.target])
     h = scipy.sparse.diags(diagonal.astype(complex), format="csr")
     for term in terms:
         h = h + term
     h.sort_indices()
+    return h
+
+
+@functools.lru_cache(maxsize=16)
+def undriven_rwa_hamiltonian(system: SystemSpec,
+                             frame_frequency: float) -> scipy.sparse.csr_matrix:
+    """Read-only undriven RWA Hamiltonian, cached per drive-free system and frame.
+
+    Every sweep point and root evaluation of one device shares this part;
+    `build_rwa_hamiltonian_sparse` adds the drive terms to it.  A system
+    with drives raises ValueError: pass `system.without_drives()`.
+    """
+    if system.drives:
+        raise ValueError("undriven_rwa_hamiltonian takes a system without drives")
+    h = _build(system, frame_frequency, rwa=True)
+    for array in (h.data, h.indices, h.indptr):
+        array.flags.writeable = False
     return h
 
 
@@ -345,7 +362,14 @@ def build_rwa_hamiltonian_sparse(system: SystemSpec,
     if offending:
         raise MultiFrequencyFrameError(
             f"drives at {offending} GHz do not match frame {frame_frequency} GHz")
-    return _build(system, frame_frequency, rwa=True)
+    _, a, adag = mode_operators(system.dims)
+    h = undriven_rwa_hamiltonian(system.without_drives(), frame_frequency)
+    for d in system.drives:  # after the couplings, one at a time in declaration order
+        half = 0.5 * d.amplitude
+        h = h + (half * np.exp(1j * d.phase) * adag[d.target]
+                 + half * np.exp(-1j * d.phase) * a[d.target])
+    h.sort_indices()
+    return h
 
 
 def build_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> np.ndarray:

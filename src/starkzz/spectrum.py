@@ -360,29 +360,30 @@ def targeted_label_energies(h_sparse, dims, labels) -> dict[tuple, tuple[float, 
     out = {}
     for label in map(tuple, labels):
         idx = bare_index(label, dims)
-        basis = np.zeros((dim, DAVIDSON_MAX_BASIS), h.dtype)
-        image = np.zeros((dim, DAVIDSON_MAX_BASIS), h.dtype)  # h @ basis
+        # row j of basis is the j-th basis vector: every product reads contiguous rows
+        basis = np.zeros((DAVIDSON_MAX_BASIS, dim), h.dtype)
+        image = np.zeros((DAVIDSON_MAX_BASIS, dim), h.dtype)  # image[j] = h @ basis[j]
         projected = np.zeros((DAVIDSON_MAX_BASIS,) * 2, h.dtype)  # upper half: basis^H image
         t = np.eye(1, dim, idx, dtype=h.dtype)[0]
         m = 0
         for _ in range(DAVIDSON_MAX_ITERATIONS):
             for _ in range(2):  # conjugate the small products, not the basis
-                t -= basis[:, :m] @ (t.conj() @ basis[:, :m]).conj()
-            basis[:, m] = t / np.linalg.norm(t)
-            image[:, m] = h @ basis[:, m]
-            projected[:m + 1, m] = (image[:, m].conj() @ basis[:, :m + 1]).conj()
+                t -= (basis[:m] @ t.conj()).conj() @ basis[:m]
+            basis[m] = t / np.linalg.norm(t)
+            image[m] = h @ basis[m]
+            projected[:m + 1, m] = (basis[:m + 1] @ image[m].conj()).conj()
             m += 1
             thetas, coeffs = np.linalg.eigh(projected[:m, :m], UPLO="U")
-            k = np.argmax(np.abs(basis[idx, :m] @ coeffs))
+            k = np.argmax(np.abs(basis[:m, idx] @ coeffs))
             theta = thetas[k]
-            ritz = basis[:, :m] @ coeffs[:, k]
-            h_ritz = image[:, :m] @ coeffs[:, k]
+            ritz = coeffs[:, k] @ basis[:m]
+            h_ritz = coeffs[:, k] @ image[:m]
             residual = h_ritz - theta * ritz
             if np.linalg.norm(residual) < DAVIDSON_TOLERANCE:
                 break
             if m == DAVIDSON_MAX_BASIS:  # restart from the Ritz vector
-                basis[:, 0] = ritz
-                image[:, 0] = h_ritz
+                basis[0] = ritz
+                image[0] = h_ritz
                 projected[0, 0] = theta
                 m = 1
             shifted = diag - theta

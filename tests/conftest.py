@@ -25,3 +25,12 @@ def device_b_pair():
         transmons=(TransmonSpec(4.85, -0.290, 5), TransmonSpec(4.95, -0.290, 5)),
         couplings=(direct_coupling(0, 1, 0.0106),
                    bus_coupling(0, 1, 6.35, (0.135, 0.135), bus_levels=3)))
+
+
+@pytest.fixture(scope="session")
+def three_transmon_chain():
+    """Staggered 3-transmon chain, 4 levels each, direct nearest-neighbour J."""
+    return SystemSpec(
+        transmons=(TransmonSpec(4.93, -0.29, 4), TransmonSpec(4.99, -0.291, 4),
+                   TransmonSpec(4.95, -0.289, 4)),
+        couplings=(direct_coupling(0, 1, 0.0014), direct_coupling(1, 2, 0.0013)))

@@ -365,6 +365,8 @@ class TestZxCommand:
     (["calibrate", "cnot", "--duration", "39"], "--duration"),
     (["calibrate", "cz", "--duration", "59"], "--duration"),
     (["zz", "--levels", "0"], "--levels"),
+    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "0"], "--threads"),
+    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads"),
     (["zz", "--set", "transmons.x=1"], "transmons.x"),
     (["zz", "--set", "transmons.-1.frequency=5.2"], "transmons.-1"),
     (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes"),

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkzz.errors import DimensionCapError, MultiFrequencyFrameError
 from starkzz.operators import (CouplingKind, CouplingSpec, DriveTone, SystemSpec,
                                TransmonSpec, build_rwa_hamiltonian,
+                               build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, bus_coupling,
                                direct_coupling, is_hermitian, ladder_ops,
-                               mode_operators)
+                               mode_operators, undriven_rwa_hamiltonian)
 
 
 def kron_embed(op, slot, dims):
@@ -313,3 +317,57 @@ class TestRwaHamiltonian:
         h = build_rwa_hamiltonian(system, 5.0)
         assert h[1, 0] == pytest.approx(0.01 * np.exp(1j * 0.5))
         assert h[0, 1] == pytest.approx(0.01 * np.exp(-1j * 0.5))
+
+
+class TestUndrivenCache:
+    """The undriven RWA part is cached per undriven system and frame."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cached_build_equals_fresh_build(self, device_a, three_transmon_chain, data):
+        for system in (device_a, three_transmon_chain):
+            n = system.num_transmons
+            amplitudes = data.draw(st.lists(st.floats(0.0, 0.06), min_size=n, max_size=n))
+            phases = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+            driven = system.with_drives(tuple(
+                DriveTone(i, amp, 5.1, phase) for i, (amp, phase)
+                in enumerate(zip(amplitudes, phases))))
+            build_rwa_hamiltonian_sparse(system, 5.1)  # warm
+            hits = undriven_rwa_hamiltonian.cache_info().hits
+            cached = build_rwa_hamiltonian_sparse(driven, 5.1)
+            assert undriven_rwa_hamiltonian.cache_info().hits == hits + 1
+            undriven_rwa_hamiltonian.cache_clear()
+            fresh = build_rwa_hamiltonian_sparse(driven, 5.1)
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(cached, field), getattr(fresh, field))
+
+    def test_undriven_matrix_is_read_only(self, three_transmon_chain):
+        for h in (undriven_rwa_hamiltonian(three_transmon_chain, 5.1),
+                  build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1)):
+            with pytest.raises(ValueError):
+                h.data[0] = 1.0
+
+    def test_driven_system_rejected(self, three_transmon_chain):
+        driven = three_transmon_chain.with_drives((DriveTone(0, 0.02, 5.1),))
+        with pytest.raises(ValueError, match="without drives"):
+            undriven_rwa_hamiltonian(driven, 5.1)
+
+    def test_changed_frequency_misses(self, three_transmon_chain):
+        first = three_transmon_chain.transmons[0]
+        moved = replace(three_transmon_chain, transmons=(
+            replace(first, frequency=first.frequency + 0.01),
+            *three_transmon_chain.transmons[1:]))
+        undriven_rwa_hamiltonian.cache_clear()
+        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1)
+        h_moved = build_rwa_hamiltonian_sparse(moved, 5.1)
+        assert undriven_rwa_hamiltonian.cache_info()[:2] == (0, 2)  # (hits, misses)
+        excited = 16  # bare label (1, 0, 0)
+        assert h_moved[excited, excited] - h[excited, excited] == pytest.approx(0.01, abs=1e-12)
+
+    def test_changed_frame_misses(self, three_transmon_chain):
+        undriven_rwa_hamiltonian.cache_clear()
+        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1)
+        h_frame = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.0)
+        assert undriven_rwa_hamiltonian.cache_info()[:2] == (0, 2)  # (hits, misses)
+        # bare label (1, 1, 1): three excitations, each 0.1 GHz higher in the slower frame
+        assert h_frame[21, 21] - h[21, 21] == pytest.approx(0.3, abs=1e-12)

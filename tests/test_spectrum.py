@@ -139,6 +139,30 @@ class TestSparseSpectrum:
                 assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-9)
                 assert lazy.overlap(label) >= AMBIGUOUS_OVERLAP
 
+    @pytest.mark.parametrize("phase, dtype", [(math.pi, np.float64), (0.7, np.complex128)])
+    def test_davidson_steps_per_label(self, three_transmon_chain, monkeypatch, phase, dtype):
+        """The projected-eigh steps each label takes, pinned: the storage layout
+        of the basis does not change the iterates."""
+        system = three_transmon_chain.with_drives(tuple(
+            DriveTone(i, amp, 5.1, phi) for i, (amp, phi)
+            in enumerate(zip((0.02, 0.03, 0.02), (0.0, phase, 0.0)))))
+        dense = rwa_spectrum(system, 5.1)
+        steps = []
+
+        def counting(*args, **kwargs):
+            steps[-1] += 1
+            return eigh(*args, **kwargs)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
+        lazy = rwa_spectrum(system, 5.1)
+        assert lazy.sparse.dtype == dtype
+        for label in computational_labels(3, 0, 1):
+            steps.append(0)
+            assert lazy.energy(label) == pytest.approx(dense.energy(label), abs=1e-12)
+        assert steps == [9, 11, 11, 11]
+
     def test_nonconvergence_names_label(self, device_a, monkeypatch):
         system = device_a.with_drives(cancellation_drives())
         monkeypatch.setattr(spectrum, "DENSE_LIMIT", 8)
