@@ -365,8 +365,6 @@ class TestZxCommand:
     (["calibrate", "cnot", "--duration", "39"], "--duration"),
     (["calibrate", "cz", "--duration", "59"], "--duration"),
     (["zz", "--levels", "0"], "--levels"),
-    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "0"], "--threads"),
-    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads"),
     (["zz", "--set", "transmons.x=1"], "transmons.x"),
     (["zz", "--set", "transmons.-1.frequency=5.2"], "transmons.-1"),
     (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes"),
@@ -381,7 +379,9 @@ class TestZxCommand:
       for command in (["zz"], ["sweep", "--axis", "drives.scale:0.5:1:2"],
                       ["zx", "--amplitudes", "0.008:0.01:2"],
                       *(["calibrate", gate] for gate in ("cnot", "cz", "cancel", "chain")))],
-    (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes: 'nan:0.01:2'")])
+    (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes: 'nan:0.01:2'"),
+    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "0"], "--threads"),
+    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
