@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
                      NonconvergenceError)
@@ -131,6 +130,7 @@ def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1) -> flo
         raise InsufficientAmplitudeError(
             f"zz(0)={zz0:.3e} and zz(pi)={zz_pi:.3e} GHz do not bracket "
             "zero; raise the tone amplitudes")
+    import scipy.optimize  # off start-up
     phi_star = scipy.optimize.brentq(
         lambda phi: _zz_at_phase(system, q0, q1, phi), 0.0, math.pi, xtol=1e-10)
     residual = _zz_at_phase(system, q0, q1, phi_star)
@@ -161,6 +161,7 @@ def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
     for scale in np.linspace(0.0, max_scale, AMPLITUDE_GRID_POINTS + 1)[1:]:
         zz = _zz_at_scale(system, q0, q1, float(scale))
         if zz_zero * zz <= 0.0:
+            import scipy.optimize  # off start-up
             root = scipy.optimize.brentq(
                 lambda s: _zz_at_scale(system, q0, q1, s),
                 previous_scale, float(scale), xtol=1e-9)
@@ -190,6 +191,7 @@ def _seed_amplitude(base: SystemSpec, reference: LabeledSpectrum, nu_d: float,
         raise CancellationUnreachableError(
             f"seed Stark shift {seed_shift:.2e} GHz unreachable below "
             f"{hi * 1e3:.1f} MHz on qubit 0")
+    import scipy.optimize  # off start-up
     return float(scipy.optimize.brentq(objective, 0.0, hi, xtol=1e-7))
 
 
@@ -245,6 +247,7 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
             raise CancellationUnreachableError(
                 f"pair ({i}, {i + 1}): no ZZ zero below "
                 f"{CHAIN_AMPLITUDE_CAP * 1e3:.0f} MHz (zz stuck at {zz_cap:.3e} GHz)")
+        import scipy.optimize  # off start-up
         amplitudes[i + 1] = float(scipy.optimize.brentq(
             objective, 0.0, CHAIN_AMPLITUDE_CAP, xtol=1e-7))
 

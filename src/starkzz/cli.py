@@ -172,6 +172,8 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec, "--axis") for spec in args.axis]
     if not 1 <= len(axes) <= 2:
         raise ConfigError("one or two --axis definitions required")
+    if len(axes) == 2 and axes[0][0] == axes[1][0]:
+        raise ConfigError(f"{axes[0][0]!r}: given twice", "--axis")
     q0, q1 = doc["pair"]
 
     grid = [(v,) for v in axes[0][1]]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import StepSizeError, TomographyFitError
 from .operators import (SystemSpec, bare_index, basis_label, build_rwa_hamiltonian,
@@ -626,6 +625,7 @@ def _fit_rotation(times, *trajectories):
         return np.concatenate([(_rotation_model(params, times, traj[0]) - traj).ravel()
                                for traj in trajectories])
 
+    import scipy.optimize  # off start-up
     sol = scipy.optimize.least_squares(residual, _rotation_seed(times, *trajectories),
                                        method="lm", max_nfev=2000)
     scale = max(1.0, np.linalg.norm(np.concatenate(trajectories)))

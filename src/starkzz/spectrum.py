@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from .errors import (ConfigError, MissingLabelError, NonPerturbativeRegimeError,
@@ -41,6 +40,9 @@ DAVIDSON_MAX_ITERATIONS = 500  # steps before a solve raises SolverFailureError
 DAVIDSON_SHIFT_FLOOR = 1e-8  # least |diag H - theta| (GHz) in the preconditioner
 REAL_TOLERANCE = 1e-14  # largest |Im H| (GHz) a sparse spectrum drops to solve in real arithmetic
 BARE_FIT_TOLERANCE = 1e-12  # largest |dressed - measured| (GHz) a bare fit may leave
+BARE_FIT_STEP = 1e-6  # forward-difference step (GHz) of the bare fit's one Jacobian
+BARE_FIT_MAX_ITERATIONS = 20  # chord-Newton steps before a bare fit raises SolverFailureError
+BARE_FIT_CONTRACTION = 0.1  # largest residual ratio per step that keeps the bare fit's Jacobian
 EFFECTIVE_J_INDUCED = 50e-6  # largest predicted drive-induced ZZ (GHz) an effective_j probe makes
 EFFECTIVE_J_POINTS = 5  # amplitude scales per effective_j fit
 EFFECTIVE_J_MAX_RESIDUAL = 0.01  # largest relative residual an effective_j fit may end at
@@ -109,6 +111,7 @@ def assign_labels(vecs: np.ndarray) -> np.ndarray:
     greedy = np.argmax(weights, axis=0)
     if len(np.unique(greedy)) == weights.shape[1]:
         return np.argsort(greedy)
+    import scipy.optimize  # off start-up: a greedy bijection is already the matching
     _, cols = scipy.optimize.linear_sum_assignment(weights, maximize=True)
     return cols
 
@@ -414,6 +417,15 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
     would double-count the dressing.  This solves for bare parameters such
     that the labeled dressed 0-1 frequencies and anharmonicities of the
     assembled system match the measured values.
+
+    The dressing is a small shift, so the Jacobian stays close to the
+    identity: one forward-difference Jacobian at the measured values (step
+    BARE_FIT_STEP) steers the steps of a chord Newton iteration.  Near an
+    avoided crossing the dressing is not small; a step whose residual ratio
+    max|r_next| / max|r| exceeds BARE_FIT_CONTRACTION (less than a tenfold
+    shrink) takes a new Jacobian where it landed.  The fit is judged by its residual: one still above
+    BARE_FIT_TOLERANCE after BARE_FIT_MAX_ITERATIONS steps, or a singular,
+    non-finite or non-physical step, raises SolverFailureError.
     """
     n = system.num_transmons
     nu_meas = np.asarray(measured_frequencies, dtype=float)
@@ -443,17 +455,51 @@ def fit_bare_transmons(system: SystemSpec, measured_frequencies,
         nu_fit, alpha_fit = dressed_observables(spec)
         return np.concatenate([nu_fit - nu_meas, alpha_fit - alpha_meas])
 
-    x0 = np.concatenate([nu_meas, alpha_meas])
-    sol = scipy.optimize.root(residual, x0, method="hybr", tol=1e-12)
-    # hybr's success flag judges its last steps, not the match: a stop at a
-    # rounding-level residual is a fit, a "successful" stop far off is not
-    worst = float(np.max(np.abs(sol.fun)))
+    def unphysical(*points):
+        """The first bare value among `points` that TransmonSpec refuses, or ''."""
+        for p in points:
+            for i in range(n):
+                if not p[i] > 0:
+                    return f"transmons.{i}.frequency = {p[i]:.6g} GHz"
+                if p[n + i] == 0:
+                    return f"transmons.{i}.anharmonicity = 0 GHz"
+        return ""
+
+    x = np.concatenate([nu_meas, alpha_meas])
+    r = residual(x)
+    jacobian, steps, stopped = None, 0, ""
+    while np.max(np.abs(r)) > BARE_FIT_TOLERANCE and steps < BARE_FIT_MAX_ITERATIONS:
+        if jacobian is None:
+            probes = x + BARE_FIT_STEP * np.eye(2 * n)
+            stopped = unphysical(*probes)
+            if stopped:
+                stopped = f"a Jacobian probe reaches {stopped}"
+                break
+            jacobian = np.column_stack([(residual(p) - r) / BARE_FIT_STEP for p in probes])
+        try:
+            step = np.linalg.solve(jacobian, r)
+        except np.linalg.LinAlgError:
+            stopped = "singular Jacobian"
+            break
+        if not np.all(np.isfinite(step)):
+            stopped = "non-finite step"
+            break
+        stopped = unphysical(x - step)
+        if stopped:
+            stopped = f"the next step reaches {stopped}"
+            break
+        r_next = residual(x - step)
+        if np.max(np.abs(r_next)) > BARE_FIT_CONTRACTION * np.max(np.abs(r)):
+            jacobian = None  # the chord has stopped contracting: a new one where it landed
+        x, r = x - step, r_next
+        steps += 1
+    worst = float(np.max(np.abs(r)))
     if not worst <= BARE_FIT_TOLERANCE:
-        # one line: scipy wraps some messages, and CSV error cells hold one line
         raise SolverFailureError(
             f"bare-parameter fit failed: residual {worst:.3g} GHz above "
-            f"{BARE_FIT_TOLERANCE:g} GHz ({' '.join(sol.message.split())})")
-    nus, alphas = sol.x[:n], sol.x[n:]
+            f"{BARE_FIT_TOLERANCE:g} GHz after {steps} chord-Newton steps"
+            + (f" ({stopped})" if stopped else ""))
+    nus, alphas = x[:n], x[n:]
     return replace(system, transmons=tuple(
         replace(t, frequency=float(nu), anharmonicity=float(al))
         for t, nu, al in zip(system.transmons, nus, alphas)))

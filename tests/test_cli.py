@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -381,7 +384,9 @@ class TestZxCommand:
                       *(["calibrate", gate] for gate in ("cnot", "cz", "cancel", "chain")))],
     (["zx", "--amplitudes", "nan:0.01:2"], "--amplitudes: 'nan:0.01:2'"),
     (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "0"], "--threads"),
-    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads")])
+    (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads"),
+    (["sweep", "--axis", "drives.scale:0:1:2", "--axis", "drives.scale:0:1:2"],
+     "--axis: 'drives.scale'")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -450,3 +455,25 @@ class TestCalibrateCommand:
                      "--out", str(tmp_path / "cz.json")])
         assert code == 3
         assert "insensitive to the gate amplitude" in capsys.readouterr().err
+
+
+def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
+    """Importing the CLI, fitting device-a's bare parameters and running
+    `zz` and a phase sweep load no optimizer, so these commands do not pay
+    for importing scipy.optimize at start-up."""
+    script = f"""
+import sys
+import starkzz.cli
+from starkzz.config import load_preset, to_system
+to_system(load_preset("device-a"))
+out = {str(tmp_path)!r}
+assert starkzz.cli.main(["zz", "--preset", "device-a", "--out", out + "/zz.json"]) == 0
+assert starkzz.cli.main(["sweep", "--preset", "device-a", "--out", out + "/phase.csv",
+                         "--axis", "drives.phase_difference:0:6.283185307179586:41"]) == 0
+print("scipy.optimize" in sys.modules)
+"""
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+                          check=True)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,15 @@ from starkzz.config import load_preset, to_system
 from starkzz.errors import MissingLabelError, SolverFailureError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,
-                               build_static_hamiltonian, computational_labels,
-                               direct_coupling)
+                               build_static_hamiltonian, build_static_hamiltonian_sparse,
+                               computational_labels, direct_coupling)
 from starkzz.spectrum import (AMBIGUOUS_OVERLAP, driven_pair_rates, effective_j,
                               fit_bare_transmons, labeled_spectrum, pair_rates,
                               rwa_spectrum, single_path_equivalent, static_spectrum,
                               undriven_reference, zz_vs_parameter)
 
 NU_D_FIG1 = 5.075
+DEVICE_A_MEASURED = ((4.960, 5.016), (-0.283, -0.287))  # dressed table
 
 
 def cancellation_drives(scale=1.0, phi=math.pi, nu_d=5.1):
@@ -406,26 +408,78 @@ class TestBareFit:
             assert got.frequency == pytest.approx(ref.frequency, abs=1e-12)
             assert got.anharmonicity == pytest.approx(ref.anharmonicity, abs=1e-12)
 
+    @staticmethod
+    def bare_params(system):
+        return np.array([t.frequency for t in system.transmons]
+                        + [t.anharmonicity for t in system.transmons])
+
+    @staticmethod
+    def dressed_residual(system, params, measured=DEVICE_A_MEASURED):
+        """Dressed 0-1 frequencies and anharmonicities of `system` with bare
+        `params` (frequencies, then anharmonicities), minus the `measured` table."""
+        n = system.num_transmons
+        trial = replace(system, transmons=tuple(
+            replace(t, frequency=nu, anharmonicity=al)
+            for t, nu, al in zip(system.transmons, params[:n], params[n:])))
+        spec = labeled_spectrum(build_static_hamiltonian_sparse(trial), trial.dims)
+        e = spec.lab_energy
+        ground = (0,) * n
+        ones = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        twos = [tuple(2 * x for x in one) for one in ones]
+        nus = [e(one) - e(ground) for one in ones]
+        alphas = [e(two) - 2 * e(one) + e(ground) for one, two in zip(ones, twos)]
+        return np.array(nus + alphas) - np.concatenate(measured)
+
     def test_fit_judged_by_residual(self, device_a, monkeypatch):
-        """hybr's success flag does not decide the outcome: a stop at a
-        rounding-level residual is a fit, a 'successful' stop far off is not."""
-        measured = ((4.960, 5.016), (-0.283, -0.287))
-
-        def stopping(success, residual):
-            def root(fun, x0, **kwargs):
-                return scipy.optimize.OptimizeResult(
-                    x=np.asarray(x0), fun=np.full(len(x0), residual), success=success,
-                    message="stub stop")
-            return root
-
-        monkeypatch.setattr(scipy.optimize, "root", stopping(False, 1.5e-15))
-        fitted = fit_bare_transmons(device_a, *measured)
-        assert [t.frequency for t in fitted.transmons] == list(measured[0])
-        assert [t.anharmonicity for t in fitted.transmons] == list(measured[1])
-        monkeypatch.setattr(scipy.optimize, "root", stopping(True, 1e-6))
+        """A converged fit leaves its recomputed dressed-minus-measured
+        residual within BARE_FIT_TOLERANCE; a fit stopped before it gets
+        there raises and names the residual it ended at."""
+        worst = np.max(np.abs(self.dressed_residual(device_a, self.bare_params(device_a))))
+        assert worst <= spectrum.BARE_FIT_TOLERANCE
+        monkeypatch.setattr(spectrum, "BARE_FIT_MAX_ITERATIONS", 0)
         with pytest.raises(SolverFailureError,
-                           match=r"bare-parameter fit failed: residual 1e-06 GHz"):
-            fit_bare_transmons(device_a, *measured)
+                           match=r"bare-parameter fit failed: residual 0\.00\d+ GHz "
+                                 r"above 1e-12 GHz after 0 chord-Newton steps"):
+            fit_bare_transmons(device_a, *DEVICE_A_MEASURED)
+
+    def test_degenerate_table_fails_as_a_fit(self, device_a):
+        """Equal dressed frequencies have no bare solution: the steps run off
+        to a negative frequency, which stops the fit and is named in its
+        error instead of escaping as the ValueError of an invalid transmon."""
+        with pytest.raises(SolverFailureError,
+                           match=r"bare-parameter fit failed: residual .* GHz above 1e-12 GHz "
+                                 r"after \d+ chord-Newton steps \(the next step reaches "
+                                 r"transmons\.\d\.frequency = -"):
+            fit_bare_transmons(device_a, (4.960, 4.960), DEVICE_A_MEASURED[1])
+
+    def test_probe_past_a_boundary_fails_as_a_fit(self, device_a):
+        """A measured anharmonicity of -BARE_FIT_STEP puts a Jacobian probe
+        at zero anharmonicity; the fit names it instead of raising ValueError."""
+        with pytest.raises(SolverFailureError,
+                           match=r"after 0 chord-Newton steps \(a Jacobian probe reaches "
+                                 r"transmons\.1\.anharmonicity = 0 GHz\)"):
+            fit_bare_transmons(device_a, DEVICE_A_MEASURED[0],
+                               (-0.283, -spectrum.BARE_FIT_STEP))
+
+    @pytest.mark.parametrize("measured, max_spectra, agree", [
+        (DEVICE_A_MEASURED, 10, 1e-13),
+        # 17.5 MHz from the crossing the first Jacobian shrinks the residual
+        # only 0.38-fold per step, so a new one is taken; the fit is also
+        # worse conditioned there (cond J about 5)
+        (((4.960, 4.9425), (-0.283, -0.287)), 20, 1e-12)])
+    def test_chord_newton_matches_hybr(self, device_a, monkeypatch, measured, max_spectra,
+                                       agree):
+        """The chord Newton fit agrees with MINPACK's hybr on the same
+        residual, from few labelled spectra (hybr takes 42 on device-a)."""
+        hybr = scipy.optimize.root(lambda x: self.dressed_residual(device_a, x, measured),
+                                   np.concatenate(measured), method="hybr", tol=1e-12)
+        spectra = []
+        labeled = spectrum.labeled_spectrum
+        monkeypatch.setattr(spectrum, "labeled_spectrum",
+                            lambda *a, **kw: spectra.append(1) or labeled(*a, **kw))
+        fitted = fit_bare_transmons(device_a, *measured)
+        assert len(spectra) <= max_spectra
+        assert np.max(np.abs(self.bare_params(fitted) - hybr.x)) < agree
 
 
 class TestTruncationConvergence:
