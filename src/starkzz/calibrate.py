@@ -1,12 +1,15 @@
 """Root-finding and iterative pulse-level gate calibration.
 
 Covers the always-on cancellation searches (phase root, amplitude root,
-sequential chain nulling) and the closed-loop entangling-gate calibrations.
-The gate loops simulate repeated-gate amplification sequences: the gate
-propagator is computed once per iteration, powers of it generate
-target-population trajectories versus repetition count, rotation angles are
-fit from those trajectories, and Newton-style updates drive every monitored
-angle to its goal until every error is below `ANGLE_TOLERANCE`.  Each gate
+chain nulling) and the closed-loop entangling-gate calibrations.  The chain
+and the gates share one Newton loop (`newton_loop`): the chain solves every
+tone amplitude jointly against qubit 0's seed Stark shift and every
+nearest-neighbour ZZ of the full-chain spectrum.  The gate loops simulate
+repeated-gate amplification sequences: the gate propagator is computed once
+per iteration, powers of it generate target-population trajectories versus
+repetition count, rotation angles are fit from those trajectories, and
+Newton updates drive every monitored angle to its goal until every error is
+below `ANGLE_TOLERANCE`.  Each gate
 has one pulse shape: sigma `GATE_SIGMA` = 10 ns, a rise of 2 sigma for the CNOT
 and 3 sigma for the CZ, amplified over `GATE_REPETITIONS` = 17 repetitions.
 A gate result carries the schedule it propagated and scored.
@@ -35,21 +38,25 @@ TWO_PI = 2.0 * math.pi
 NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
-MAX_GATE_ITERATIONS = 50  # iteration cap of the gate Newton loops
+MAX_NEWTON_ITERATIONS = 50  # iteration cap of the chain and gate Newton loops
 GATE_REPETITIONS = 17  # repetitions each amplification trajectory runs to
 GATE_SIGMA = 10.0  # Gaussian edge width of the gate pulses (ns)
 CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_SIGMA
 AMPLITUDE_GRID_POINTS = 24  # scale-grid intervals bracketing the pair-tone ZZ null
-CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain search tries
-CHAIN_MAX_SWEEPS = 3  # forward passes the chain search makes before giving up
+CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may reach
+#: Largest |error| (GHz) of the chain solve's seed shift and NN ZZ at convergence.
+CHAIN_TOLERANCE = NULL_TOLERANCE / 100
+CHAIN_JACOBIAN_STEP = 1e-4  # forward-difference amplitude step (GHz) of the chain Jacobian
 
 
 @dataclass(frozen=True)
 class CancellationSolution:
-    """Per-qubit CW tone settings nulling every pair of a device.
+    """Per-qubit CW tone settings nulling every nearest-neighbour pair.
 
-    `min_overlap` is the smallest bare-state overlap among the computational
-    labels that the final verification sweep reads.
+    Residuals, Stark shifts and `min_overlap` (the smallest bare-state
+    overlap among the pairs' computational labels) are read from the
+    spectrum at the converged amplitudes; `transcript` holds the Newton
+    solve's rows.
     """
 
     amplitudes: tuple[float, ...]
@@ -58,6 +65,7 @@ class CancellationSolution:
     residual_zz: tuple[float, ...]
     stark_shifts: tuple[float, ...]
     min_overlap: float
+    transcript: list = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass
@@ -175,37 +183,29 @@ def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
 # ---------------------------------------------------------------------------
 # chain cancellation
 
-def _seed_amplitude(base: SystemSpec, reference: LabeledSpectrum, nu_d: float,
-                    seed_shift: float, phase: float, cap: float) -> float:
-    """Tone amplitude on qubit 0 producing the requested Stark shift."""
-    unit_tone = base.with_drives((DriveTone(0, 1.0, nu_d),))
-    stark_per_amp2 = single_drive_stark(PerturbativeInputs.for_pair(unit_tone, 0, 1), 0)
-    guess = math.sqrt(abs(2.0 * seed_shift / stark_per_amp2))
+@dataclass
+class _ChainTones:
+    """Newton state of the chain solve: one tone amplitude per qubit, and
+    the full-chain spectrum `measure` last read at them."""
 
-    def objective(amp: float) -> float:
-        driven = rwa_spectrum(base.with_drives((DriveTone(0, amp, nu_d, phase),)), nu_d)
-        return abs(stark_shift(driven, reference, 0)) - seed_shift
-
-    hi = min(cap, 3.0 * guess)
-    if objective(hi) < 0:
-        raise CancellationUnreachableError(
-            f"seed Stark shift {seed_shift:.2e} GHz unreachable below "
-            f"{hi * 1e3:.1f} MHz on qubit 0")
-    import scipy.optimize  # off start-up
-    return float(scipy.optimize.brentq(objective, 0.0, hi, xtol=1e-7))
+    amplitudes: tuple[float, ...]
+    spectrum: LabeledSpectrum | None = None
+    iterations: int = 0
+    transcript: list = field(default_factory=list)
 
 
 def chain_cancellation(chain: SystemSpec, nu_d: float,
                        seed_stark_shift: float = 1e-3) -> CancellationSolution:
-    """Sequential pairwise ZZ nulling along a line of transmons.
+    """Joint ZZ nulling along a line of transmons, one tone per qubit.
 
-    The first qubit's tone is set to induce the seed Stark shift; each
-    following qubit's amplitude is then the minimal value nulling its
-    pair's ZZ on the full-chain Hamiltonian, with the pairwise phase
-    difference fixed at pi and earlier qubits held fixed.  A verification
-    sweep recomputes every pair; if spectator dressing pushed an earlier
-    pair above `NULL_TOLERANCE` the forward pass is repeated (up to
-    `CHAIN_MAX_SWEEPS` passes, each amplitude below `CHAIN_AMPLITUDE_CAP`).
+    Every tone sits at `nu_d` with phases alternating 0/pi.  One
+    `newton_loop` solve moves all amplitudes together until qubit 0's
+    Stark shift magnitude equals `seed_stark_shift` and every nearest-
+    neighbour ZZ vanishes, each within `CHAIN_TOLERANCE`, all read from one
+    full-chain spectrum per evaluation.  Every amplitude starts at qubit
+    0's perturbative guess; a start or step outside [0,
+    `CHAIN_AMPLITUDE_CAP`] raises CancellationUnreachableError.  The
+    solution reports the spectrum of the converged amplitudes.
     """
     n = chain.num_transmons
     if n < 2:
@@ -220,57 +220,40 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
 
     base = chain.without_drives()
     reference = undriven_reference(chain)
-    phases = [math.pi * (i % 2) for i in range(n)]
-    amplitudes = [0.0] * n
-    amplitudes[0] = _seed_amplitude(base, reference, nu_d, seed_stark_shift,
-                                    phases[0], CHAIN_AMPLITUDE_CAP)
+    phases = tuple(math.pi * (i % 2) for i in range(n))
 
-    def driven(up_to: int) -> LabeledSpectrum:
-        """Spectrum with the tones of qubits 0..up_to (zero amplitudes left out)."""
-        tones = tuple(DriveTone(i, amplitudes[i], nu_d, phases[i])
-                      for i in range(up_to + 1) if amplitudes[i] > 0.0)
-        return rwa_spectrum(base.with_drives(tones), nu_d)
+    def measure(tones: _ChainTones) -> np.ndarray:
+        tones.spectrum = rwa_spectrum(base.with_drives(tuple(
+            DriveTone(q, amp, nu_d, phase)
+            for q, (amp, phase) in enumerate(zip(tones.amplitudes, phases)))), nu_d)
+        seed = abs(stark_shift(tones.spectrum, reference, 0)) - seed_stark_shift
+        return np.array([seed, *(pair_rates(tones.spectrum, i, i + 1).zz
+                                 for i in range(n - 1))])
 
-    def solve_pair(i: int):
-        """Amplitude on qubit i+1 nulling pair (i, i+1), earlier fixed."""
-        def objective(amp: float) -> float:
-            amplitudes[i + 1] = amp
-            return pair_rates(driven(i + 1), i, i + 1).zz
+    def set_params(tones: _ChainTones, p: np.ndarray) -> None:
+        for q, amp in enumerate(p):
+            if not 0.0 <= amp <= CHAIN_AMPLITUDE_CAP:
+                raise CancellationUnreachableError(
+                    f"qubit {q}: the chain solve reaches a tone amplitude of "
+                    f"{amp * 1e3:.3g} MHz, outside [0, {CHAIN_AMPLITUDE_CAP * 1e3:.0f}] MHz")
+        tones.amplitudes = tuple(float(amp) for amp in p)
 
-        zz0 = objective(0.0)
-        if abs(zz0) < NULL_TOLERANCE:
-            amplitudes[i + 1] = 0.0
-            return
-        zz_cap = objective(CHAIN_AMPLITUDE_CAP)
-        if zz0 * zz_cap > 0:
-            amplitudes[i + 1] = 0.0
-            raise CancellationUnreachableError(
-                f"pair ({i}, {i + 1}): no ZZ zero below "
-                f"{CHAIN_AMPLITUDE_CAP * 1e3:.0f} MHz (zz stuck at {zz_cap:.3e} GHz)")
-        import scipy.optimize  # off start-up
-        amplitudes[i + 1] = float(scipy.optimize.brentq(
-            objective, 0.0, CHAIN_AMPLITUDE_CAP, xtol=1e-7))
+    unit_tone = base.with_drives((DriveTone(0, 1.0, nu_d),))
+    stark_per_amp2 = single_drive_stark(PerturbativeInputs.for_pair(unit_tone, 0, 1), 0)
+    tones = _ChainTones(())
+    set_params(tones, np.full(n, math.sqrt(abs(2.0 * seed_stark_shift / stark_per_amp2))))
+    newton_loop(tones, measure, lambda t: np.array(t.amplitudes), set_params,
+                np.full(n, CHAIN_JACOBIAN_STEP),
+                lambda t: {f"amplitude_{q}": amp for q, amp in enumerate(t.amplitudes)},
+                CHAIN_TOLERANCE, MAX_NEWTON_ITERATIONS, "chain solve",
+                error_key="max_frequency_error", unit="GHz")
 
-    residuals = [math.inf] * (n - 1)
-    for _ in range(CHAIN_MAX_SWEEPS):
-        for i in range(n - 1):
-            solve_pair(i)
-        final = driven(n - 1)
-        verified = [pair_rates(final, i, i + 1) for i in range(n - 1)]
-        residuals = [rates.zz for rates in verified]
-        if max(abs(r) for r in residuals) < NULL_TOLERANCE:
-            break
-    else:
-        worst = max(range(n - 1), key=lambda i: abs(residuals[i]))
-        raise CancellationUnreachableError(
-            f"pair ({worst}, {worst + 1}) residual {residuals[worst]:.3e} GHz "
-            f"after {CHAIN_MAX_SWEEPS} sweeps")
-
-    shifts = [stark_shift(final, reference, q) for q in range(n)]
+    rates = [pair_rates(tones.spectrum, i, i + 1) for i in range(n - 1)]
     return CancellationSolution(
-        amplitudes=tuple(amplitudes), phases=tuple(phases), drive_frequency=nu_d,
-        residual_zz=tuple(residuals), stark_shifts=tuple(shifts),
-        min_overlap=min(rates.min_overlap for rates in verified))
+        amplitudes=tones.amplitudes, phases=phases, drive_frequency=nu_d,
+        residual_zz=tuple(r.zz for r in rates),
+        stark_shifts=tuple(stark_shift(tones.spectrum, reference, q) for q in range(n)),
+        min_overlap=min(r.min_overlap for r in rates), transcript=tones.transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +369,20 @@ class _RepeatedGate:
             cal.control_frame_change = _wrap_angle(cal.control_frame_change + phase)
 
 
+def _attributes(*names):
+    """Transcript fields: the named attributes of a calibration."""
+    return lambda cal: {name: getattr(cal, name) for name in names}
+
+
 def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
-                logged: tuple[str, ...], tolerance: float, max_iterations: int,
-                name: str, cap=None, check=None) -> None:
-    """Drive every angle error `measure(cal)` below `tolerance` (rad).
+                logged, tolerance: float, max_iterations: int,
+                name: str, cap=None, check=None, error_key: str = "max_angle_error",
+                unit: str = "rad") -> None:
+    """Drive every error `measure(cal)` below `tolerance` (in `unit`).
 
     Each iteration appends a transcript row (the iteration, the largest
-    error and the `logged` fields of `cal`) and, unless converged, moves
+    error under `error_key` and the fields `logged(cal)` returns) and,
+    unless converged, moves
     `get_params(cal)` by the least-squares Newton step of a forward-
     difference Jacobian (one `steps` entry per parameter).  The Jacobian is
     taken at the first iteration and again whenever the error grows after
@@ -407,8 +397,7 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
     for iteration in range(max_iterations):
         residual = measure(cal)
         err = float(np.max(np.abs(residual)))
-        cal.transcript.append({"iteration": iteration, "max_angle_error": err,
-                               **{key: getattr(cal, key) for key in logged}})
+        cal.transcript.append({"iteration": iteration, error_key: err, **logged(cal)})
         if err < tolerance:
             cal.iterations = iteration
             return
@@ -431,7 +420,7 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
         set_params(cal, get_params(cal) - damping * update)
         previous = err
     raise NonconvergenceError(
-        f"{name} above {tolerance} rad after {max_iterations} iterations",
+        f"{name} above {tolerance} {unit} after {max_iterations} iterations",
         transcript=cal.transcript)
 
 
@@ -533,10 +522,10 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
         0.05 * abs(cal.target_amplitude) + 1e-5,
         0.02, 0.5, 0.2, 0.02])
     newton_loop(cal, measure, get_params, set_params, steps,
-                ("control_amplitude", "target_amplitude", "control_phase",
-                 "target_phase", "target_drag", "target_skew",
-                 "target_frame_change", "control_frame_change"),
-                ANGLE_TOLERANCE, MAX_GATE_ITERATIONS, "CNOT fine loop")
+                _attributes("control_amplitude", "target_amplitude", "control_phase",
+                            "target_phase", "target_drag", "target_skew",
+                            "target_frame_change", "control_frame_change"),
+                ANGLE_TOLERANCE, MAX_NEWTON_ITERATIONS, "CNOT fine loop")
 
     # Stage 4: control frame change, with the target prepared along the
     # conditional rotation axis so the branch phase is read unambiguously.
@@ -603,7 +592,7 @@ def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
 
 def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                  gate_amplitude: float, control: int = 1, target: int = 0,
-                 max_iterations: int = MAX_GATE_ITERATIONS, dt: float = DEFAULT_DT,
+                 max_iterations: int = MAX_NEWTON_ITERATIONS, dt: float = DEFAULT_DT,
                  initial: CzCalibration | None = None) -> CzCalibration:
     """Iterative conditional-phase gate calibration with pulsed tones.
 
@@ -676,7 +665,8 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
 
     steps = np.array([0.08 * abs(cal.control_amplitude) + 1e-5, 0.05])
     newton_loop(cal, measure, get_params, set_params, steps,
-                ("control_amplitude", "target_frame_change", "control_frame_change"),
+                _attributes("control_amplitude", "target_frame_change",
+                            "control_frame_change"),
                 ANGLE_TOLERANCE, max_iterations, "CZ loop", cap=cap, check=check)
     gate.set_control_frame(cal, schedule, "z")
     cal.converged = True

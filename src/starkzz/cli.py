@@ -309,6 +309,10 @@ def cmd_calibrate(args) -> int:
         print(f"cancellation scale {scale:.6g}; residual zz "
               f"{rates.zz * 1e6:.3f} kHz")
     elif args.gate == "chain":
+        highest = max(t.frequency for t in system.transmons)
+        if not args.drive_frequency > highest:
+            raise ConfigError(f"must sit above every qubit (highest {highest:.6g} GHz), "
+                              f"got {args.drive_frequency}", "--drive-frequency")
         solution = chain_cancellation(system, args.drive_frequency,
                                       seed_stark_shift=args.seed_shift)
         result = {
@@ -321,10 +325,7 @@ def cmd_calibrate(args) -> int:
             "min_overlap": solution.min_overlap,
             "labeling_warning": solution.min_overlap < AMBIGUOUS_OVERLAP,
         }
-        transcript_columns = ["pair", "amplitude", "residual_zz"]
-        transcript_rows = [
-            (f"{i}-{i + 1}", solution.amplitudes[i + 1], solution.residual_zz[i])
-            for i in range(len(solution.residual_zz))]
+        transcript_columns, transcript_rows = _transcript_table(solution.transcript)
         worst = max(abs(r) for r in solution.residual_zz)
         print(f"chain cancelled: worst residual {worst * 1e6:.3f} kHz, "
               f"max shift {max(abs(s) for s in solution.stark_shifts) * 1e3:.3f} MHz")
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--drive-frequency", type=float, default=5.1,
                        help="common tone frequency for chain (GHz)")
     p_cal.add_argument("--seed-shift", type=float, default=1e-3,
-                       help="seed Stark shift for chain (GHz)")
+                       help="|Stark shift| of qubit 0 with every chain tone on (GHz)")
     p_cal.add_argument("--max-scale", type=float, default=30.0,
                        help="amplitude search cap for cancel (x template)")
     p_cal.add_argument("--transcript", help="per-iteration transcript CSV path")

@@ -163,18 +163,20 @@ class TestChainCancellation:
             rates = driven_pair_rates(chain.with_drives(drives), i, i + 1)
             assert rates.zz == pytest.approx(solution.residual_zz[i], abs=1e-9)
 
-    def test_residuals_monotone_under_pair_solve(self):
-        """Solving a pair never leaves it worse than before its solve."""
+    def test_joint_solve_meets_its_tolerance(self):
+        """One Newton solve holds every NN residual and qubit 0's Stark shift
+        within CHAIN_TOLERANCE, and its transcript ends below it."""
         chain = small_chain(3, (4.93, 4.99, 4.95), (-0.29, -0.291, -0.289),
                             (0.0014, 0.0013))
         solution = chain_cancellation(chain, NU_D, seed_stark_shift=8e-4)
-        for i in range(2):
-            # pre-solve zz for pair (i, i+1): tones up to qubit i only
-            drives = tuple(
-                DriveTone(k, solution.amplitudes[k], NU_D, solution.phases[k])
-                for k in range(i + 1) if solution.amplitudes[k] > 0)
-            before = driven_pair_rates(chain.with_drives(drives), i, i + 1).zz
-            assert abs(solution.residual_zz[i]) <= abs(before) + 1e-12
+        tolerance = calibrate.CHAIN_TOLERANCE
+        assert tolerance == calibrate.NULL_TOLERANCE / 100
+        assert max(abs(r) for r in solution.residual_zz) < tolerance
+        assert abs(solution.stark_shifts[0]) == pytest.approx(8e-4, abs=tolerance)
+        assert solution.transcript[-1]["max_frequency_error"] < tolerance
+        assert [row["iteration"] for row in solution.transcript] == list(
+            range(len(solution.transcript)))
+        assert solution.transcript[-1]["amplitude_2"] == solution.amplitudes[2]
 
     def test_alternating_phases(self):
         chain = small_chain(3, (4.93, 4.99, 4.95), (-0.29, -0.291, -0.289),
@@ -213,6 +215,18 @@ class TestChainCancellation:
         assert solution.min_overlap == min(
             pair_rates(final, i, i + 1).min_overlap for i in range(2))
         assert 0.5 < solution.min_overlap < 1.0
+
+    @pytest.mark.parametrize("js, seed, qubit", [
+        ((0.0014, 0.020), 8e-4, 2), ((0.0014, 0.0013), 0.05, 0)])
+    def test_unreachable_raises_naming_qubit_and_amplitude(self, js, seed, qubit):
+        """A 20 MHz coupling needs more than CHAIN_AMPLITUDE_CAP on qubit 2
+        (the first Newton step says so); a 50 MHz seed shift puts qubit 0's
+        perturbative start above it."""
+        chain = small_chain(3, (4.93, 4.99, 4.95), (-0.29, -0.291, -0.289), js)
+        named = (rf"qubit {qubit}: the chain solve reaches a tone amplitude of "
+                 r"\S+ MHz, outside \[0, 80\] MHz")
+        with pytest.raises(CancellationUnreachableError, match=named):
+            chain_cancellation(chain, NU_D, seed_stark_shift=seed)
 
     def test_drive_below_qubits_rejected(self):
         chain = small_chain(2, (5.2, 4.99), (-0.29, -0.29), (0.0014,))
@@ -393,7 +407,7 @@ def run_newton(measure, start=(0.0, 0.0), steps=(1e-3, 1e-3), **kw):
 
     options = dict(tolerance=1e-9, max_iterations=10, name="test loop") | kw
     newton_loop(knobs, measure, lambda k: np.array([k.x, k.y]), set_params,
-                np.array(steps), ("x", "y"), **options)
+                np.array(steps), lambda k: {"x": k.x, "y": k.y}, **options)
     return knobs
 
 

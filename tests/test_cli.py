@@ -386,7 +386,8 @@ class TestZxCommand:
     (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "0"], "--threads"),
     (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads"),
     (["sweep", "--axis", "drives.scale:0:1:2", "--axis", "drives.scale:0:1:2"],
-     "--axis: 'drives.scale'")])
+     "--axis: 'drives.scale'"),
+    (["calibrate", "chain", "--drive-frequency", "4.0"], "--drive-frequency")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -431,6 +432,14 @@ class TestCalibrateCommand:
         assert result["min_overlap"] == solution.min_overlap
         assert result["labeling_warning"] is (solution.min_overlap < AMBIGUOUS_OVERLAP)
 
+    def test_chain_unreachable_exits_4_naming_the_qubit(self, tmp_path, capsys):
+        out = tmp_path / "chain.json"
+        assert main(["calibrate", "chain", "--preset", "device-a", "--seed-shift", "0.05",
+                     "--out", str(out)]) == 4
+        assert ("numerical failure: CancellationUnreachableError: qubit 0: the chain "
+                "solve reaches a tone amplitude of ") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cancel_device_b(self, tmp_path):
         out = tmp_path / "cancel.json"
         code = main(["calibrate", "cancel", "--preset", "device-b-pair",
@@ -459,8 +468,12 @@ class TestCalibrateCommand:
 
 def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
     """Importing the CLI, fitting device-a's bare parameters and running
-    `zz` and a phase sweep load no optimizer, so these commands do not pay
-    for importing scipy.optimize at start-up."""
+    `zz`, a phase sweep and a 3-transmon `calibrate chain` load no
+    optimizer, so these commands do not pay for importing scipy.optimize."""
+    doc = load_preset("device-b-chain")
+    cut = [f"{key}={json.dumps(value)}" for key, value in (
+        ("transmons", doc["transmons"][:3]),
+        ("couplings", [c for c in doc["couplings"] if max(c["endpoints"]) < 3]))]
     script = f"""
 import sys
 import starkzz.cli
@@ -470,6 +483,9 @@ out = {str(tmp_path)!r}
 assert starkzz.cli.main(["zz", "--preset", "device-a", "--out", out + "/zz.json"]) == 0
 assert starkzz.cli.main(["sweep", "--preset", "device-a", "--out", out + "/phase.csv",
                          "--axis", "drives.phase_difference:0:6.283185307179586:41"]) == 0
+assert starkzz.cli.main(["calibrate", "chain", "--preset", "device-b-chain",
+                         "--set", {cut[0]!r}, "--set", {cut[1]!r},
+                         "--out", out + "/chain.json"]) == 0
 print("scipy.optimize" in sys.modules)
 """
     src = pathlib.Path(cli.__file__).parents[1]
