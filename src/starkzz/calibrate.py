@@ -12,7 +12,7 @@ Newton updates drive every monitored angle to its goal until every error is
 below `ANGLE_TOLERANCE`.  Each gate
 has one pulse shape: sigma `GATE_SIGMA` = 10 ns, a rise of 2 sigma for the CNOT
 and 3 sigma for the CZ, amplified over `GATE_REPETITIONS` = 17 repetitions.
-A gate result carries the schedule it propagated and scored.
+A calibration's `result` is scored from the loops' own propagation of its pulse.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CancellationUnreachableError, InsufficientAmplitudeError,
-                     NonconvergenceError)
+from .errors import (CancellationUnreachableError, ConfigError,
+                     InsufficientAmplitudeError, NonconvergenceError)
 from .operators import DriveTone, SystemSpec, bare_index, basis_label
 from .perturbation import PerturbativeInputs, seed_zx_rate, single_drive_stark
 from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
                     PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
-                    _evolve, _fit_rotation, _frame_change_phases, propagate)
+                    _evolve, _fit_rotation, _frame_change_phases, propagate, score_unitary)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -47,6 +47,7 @@ CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may r
 #: Largest |error| (GHz) of the chain solve's seed shift and NN ZZ at convergence.
 CHAIN_TOLERANCE = NULL_TOLERANCE / 100
 CHAIN_JACOBIAN_STEP = 1e-4  # forward-difference amplitude step (GHz) of the chain Jacobian
+CZ_TARGET = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)  # ideal CZ on the 00..11 block
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ class CnotCalibration:
     converged: bool = False
     iterations: int = 0
     transcript: list = field(default_factory=list)
+    result: GateResult | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -96,6 +98,7 @@ class CzCalibration:
     converged: bool = False
     iterations: int = 0
     transcript: list = field(default_factory=list)
+    result: GateResult | None = field(default=None, compare=False, repr=False)
 
 
 def _wrap_angle(x: float) -> float:
@@ -204,16 +207,18 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     neighbour ZZ vanishes, each within `CHAIN_TOLERANCE`, all read from one
     full-chain spectrum per evaluation.  Every amplitude starts at qubit
     0's perturbative guess; a start or step outside [0,
-    `CHAIN_AMPLITUDE_CAP`] raises CancellationUnreachableError.  The
-    solution reports the spectrum of the converged amplitudes.
+    `CHAIN_AMPLITUDE_CAP`] raises CancellationUnreachableError, a non-line
+    coupling ConfigError.  The solution reports the spectrum of the
+    converged amplitudes.
     """
     n = chain.num_transmons
     if n < 2:
         raise ValueError("chain cancellation needs at least 2 transmons")
-    for c in chain.couplings:
+    for i, c in enumerate(chain.couplings):
         p, q = sorted(c.endpoints)
         if q != p + 1:
-            raise ValueError("chain cancellation expects a line topology")
+            raise ConfigError(f"chain cancellation expects a line, got {list(c.endpoints)}",
+                              f"couplings[{i}].endpoints")
     above = [t.frequency < nu_d for t in chain.transmons]
     if not all(above):
         raise ValueError("the common tone frequency must sit above every qubit")
@@ -303,6 +308,11 @@ class _RepeatedGate:
         for _, fc in frame_changes:
             u = _frame_change_phases(self.frame, fc)[:, None] * u
         return u
+
+    def score(self, schedule: PulseSchedule, target: np.ndarray) -> GateResult:
+        """`schedule`'s gate on the (min, max) pair against `target`, from `unitary`."""
+        pair = sorted((self.control, self.target))
+        return score_unitary(self.frame, self.unitary(schedule), schedule, *pair, target)
 
     def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
         dims = self.frame.dims
@@ -530,19 +540,17 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     # Stage 4: control frame change, with the target prepared along the
     # conditional rotation axis so the branch phase is read unambiguously.
     gate.set_control_frame(cal, schedule, "x")
+    cal.result = gate.score(schedule(cal), cnot_target(control_is_second=control > target))
     cal.converged = True
     return cal
 
 
 def cnot_gate_result(system: SystemSpec, cal: CnotCalibration, control: int = 1,
                      target: int = 0, dt: float = DEFAULT_DT) -> GateResult:
-    """Propagate a calibrated CNOT and score it against the ideal gate."""
-    frame = OperatingFrame(system)
-    sched = _cnot_schedule(cal, frame.dressed_frequency(target), control, target)
-    return propagate(system, sched, dt=dt, q0=min(control, target),
-                     q1=max(control, target),
-                     target=cnot_target(control_is_second=control > target),
-                     frame=frame)
+    """Propagate and score a CNOT calibrated elsewhere, as `calibrate_cnot` scores its own."""
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
+    sched = _cnot_schedule(cal, gate.frame.dressed_frequency(target), control, target)
+    return gate.score(sched, cnot_target(control_is_second=control > target))
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +677,13 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                             "control_frame_change"),
                 ANGLE_TOLERANCE, max_iterations, "CZ loop", cap=cap, check=check)
     gate.set_control_frame(cal, schedule, "z")
+    cal.result = gate.score(schedule(cal), CZ_TARGET)
     cal.converged = True
     return cal
 
 
 def cz_gate_result(system: SystemSpec, cal: CzCalibration, control: int = 1,
                    target: int = 0, dt: float = DEFAULT_DT) -> GateResult:
-    """Propagate a calibrated conditional-phase gate and score it vs CZ."""
-    frame = OperatingFrame(system)
-    sched = calibrated_cz_schedule(cal, control, target)
-    cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    return propagate(system, sched, dt=dt, q0=min(control, target),
-                     q1=max(control, target), target=cz, frame=frame)
+    """Propagate and score a CZ calibrated elsewhere, as `calibrate_cz` scores its own."""
+    gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
+    return gate.score(calibrated_cz_schedule(cal, control, target), CZ_TARGET)

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .calibrate import (CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS, GATE_SIGMA,
                         chain_cancellation, calibrate_cnot, calibrate_cz,
-                        cnot_gate_result, cz_gate_result,
                         find_cancellation_amplitude)
 from .config import (apply_override, check_transmon_pair, config_hash, load_config,
                      load_preset, validate_config, to_system, with_levels)
@@ -340,15 +339,14 @@ def cmd_calibrate(args) -> int:
         pair = {"control": args.control, "target": args.target}
         if args.gate == "cnot":
             cal = calibrate_cnot(system, args.duration, dt=args.dt, **pair)
-            gate = cnot_gate_result(system, cal, dt=args.dt, **pair)
         else:
             cal = calibrate_cz(system, args.duration, args.gate_frequency,
                                args.gate_amplitude, dt=args.dt, **pair)
-            gate = cz_gate_result(system, cal, dt=args.dt, **pair)
+        gate = cal.result  # scored from the calibration's own propagation
         result = {
             "routine": args.gate,
             **{f.name: getattr(cal, f.name) for f in fields(cal)
-               if f.name not in ("converged", "transcript")},
+               if f.name not in ("converged", "transcript", "result")},
             "fidelity": gate.fidelity,
             "leakage": gate.leakage,
             "dt": args.dt,

@@ -218,7 +218,7 @@ class OperatingFrame:
         anchors = np.diagonal(basis)
         self.basis = basis * (anchors / np.abs(anchors)).conj()[None, :]
 
-        self.occupations, lowering, raising = mode_operators(self.dims)
+        self.occupations, _, raising = mode_operators(self.dims)
         n_modes = len(self.dims)
         e0 = self.energies[0]
         self.eps = np.array([
@@ -227,8 +227,8 @@ class OperatingFrame:
         # Per-state operating-frame rate, ground energy included so that an
         # ideal idle maps to the identity with no global phase.
         self.frame_rates = e0 + sum(e * n for e, n in zip(self.eps, self.occupations))
-        self.lowering = [a.toarray() for a in lowering]
-        self.raising = [a.toarray() for a in raising]
+        # (rows, cols, values) of each raising operator; lowering's are (cols, rows, values)
+        self.raising_entries = [(a.row, a.col, a.data) for a in (op.tocoo() for op in raising)]
 
     def dressed_frequency(self, mode: int) -> float:
         """Dressed operating frequency of a mode in lab terms (GHz)."""
@@ -317,12 +317,13 @@ CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 CF4_MIX = (0.5 + math.sqrt(3.0) / 3.0, 0.5 - math.sqrt(3.0) / 3.0)
 
 
-def _cf4_generators(frame: OperatingFrame, active, starts, spans) -> np.ndarray:
-    """The two CF4 generators G of a step from each of `starts` over its span,
-    stacked (2n, dim, dim) in the order they apply: exp(-2 pi i (span/2) G)
-    of rows 2k and 2k + 1 make step k."""
+def _cf4_generators(frame: OperatingFrame, active, starts, spans, out) -> np.ndarray:
+    """The two CF4 generators G of a step from each of `starts` over its span, stacked
+    (2n, dim, dim) into `out` in the order they apply, each drive term by its ladder
+    operators' nonzeros: exp(-2 pi i (span/2) G) of rows 2k and 2k + 1 make step k."""
     starts = np.asarray(starts, dtype=float)
-    hams = np.repeat(frame.h_static[None], 2 * len(starts), axis=0)
+    hams = out[:2 * len(starts)]
+    hams[:] = frame.h_static
     hi, lo = CF4_MIX
     for term in active:
         c1 = term.coefficient(starts + CF4_NODES[0] * spans)
@@ -330,9 +331,9 @@ def _cf4_generators(frame: OperatingFrame, active, starts, spans) -> np.ndarray:
         c = np.empty(2 * len(starts), dtype=complex)
         c[0::2] = hi * c1 + lo * c2
         c[1::2] = lo * c1 + hi * c2
-        c = c[:, None, None]
-        hams += c * frame.raising[term.target]
-        hams += np.conj(c) * frame.lowering[term.target]
+        rows, cols, values = frame.raising_entries[term.target]
+        hams[:, rows, cols] += c[:, None] * values
+        hams[:, cols, rows] += np.conj(c)[:, None] * values
     return hams
 
 
@@ -344,34 +345,40 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _step_exponentials(hams: np.ndarray, h: float) -> np.ndarray:
+def _step_exponentials(hams: np.ndarray, h: float, work: np.ndarray) -> np.ndarray:
     """exp(-2 pi i h H) for every H of an (n, d, d) stack, by matmuls only.
 
     The stack is scaled by 2^-s to 2 pi h |H|_1 <= TAYLOR_THETA, its Taylor
     polynomial summed by Horner in A^4 (Paterson & Stockmeyer, SIAM J.
-    Comput. 2, 60 (1973)) and the sum squared s times.
+    Comput. 2, 60 (1973)) and the sum squared s times, all inside `work`, a (6, m >= n,
+    d, d) workspace whose first block may be `hams`; the result is a view into it.
     """
-    norm = TWO_PI * h * np.abs(hams).sum(axis=-2).max()
+    n, d = len(hams), hams.shape[-1]
+    a, a2, a3, a4, u, tmp = work[:, :n]
+    norm = TWO_PI * h * np.abs(hams, out=u.real).sum(axis=-2).max()
     squarings = max(0, math.ceil(math.log2(norm / TAYLOR_THETA))) if norm > 0 else 0
-    a = hams * (-1j * TWO_PI * h / 2.0 ** squarings)
-    powers = [np.eye(hams.shape[-1]), a, a @ a]
-    powers.append(powers[2] @ a)
-    a4 = powers[2] @ powers[2]
+    np.multiply(hams, -1j * TWO_PI * h / 2.0 ** squarings, out=a)
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a, out=a3)
+    np.matmul(a2, a2, out=a4)
     c = [1.0 / math.factorial(k) for k in range(TAYLOR_DEGREE + 1)]
-    u = c[TAYLOR_DEGREE] * a4
+    np.multiply(c[TAYLOR_DEGREE], a4, out=u)
     for j in range(TAYLOR_DEGREE - 4, -1, -4):
-        for k, p in enumerate(powers):
-            u += c[j + k] * p
-        u = u @ a4 if j else u
+        u.reshape(n, d * d)[:, ::d + 1] += c[j]  # the identity term
+        for k, p in ((1, a), (2, a2), (3, a3)):
+            u += np.multiply(c[j + k], p, out=tmp)
+        if j:
+            u, tmp = np.matmul(u, a4, out=tmp), u
     for _ in range(squarings):
-        u = u @ u
+        u, tmp = np.matmul(u, u, out=tmp), u
     return u
 
 
 def _cf4_steps(frame: OperatingFrame, active, t0: float, span: float,
-               dt: float, u: np.ndarray, within=()) -> tuple[np.ndarray, list]:
+               dt: float, u: np.ndarray, work: np.ndarray,
+               within=()) -> tuple[np.ndarray, list]:
     """Apply fourth-order commutator-free Magnus (CF4) steps of at most dt
-    over [t0, t0 + span] to u.
+    over [t0, t0 + span] to u, the step stacks in the workspace `work`.
 
     Returns u and, at each offset in `within` (in [0, span]), u after the
     whole steps before that offset and one CF4 step over the rest.
@@ -384,19 +391,20 @@ def _cf4_steps(frame: OperatingFrame, active, t0: float, span: float,
     for first in range(0, n_steps, STEP_CHUNK):
         last = min(n_steps, first + STEP_CHUNK)
         starts = t0 + np.arange(first, last) * h
-        factors = _step_exponentials(_cf4_generators(frame, active, starts, h), h / 2.0)
+        hams = _cf4_generators(frame, active, starts, h, work[0])
+        factors = _step_exponentials(hams, h / 2.0, work)
         cuts = sorted(k - first for k in keep if first < k < last)
         for a, b in zip([0, *cuts], [*cuts, last - first]):
             u = _ordered_product(factors[2 * a:2 * b]) @ u
             if first + b in keep:
                 kept[first + b] = u
-    if not keep:
-        return u, []
-    deltas = within - ks * h
-    generators = _cf4_generators(frame, active, t0 + ks * h, deltas)
-    # exp(-2 pi i (delta/2) G) for both factors of each rest step
-    factors = _step_exponentials(generators * np.repeat(deltas, 2)[:, None, None], 0.5)
-    rests = factors[1::2] @ factors[0::2]
+    deltas, rests = within - ks * h, []
+    for part in (slice(i, i + STEP_CHUNK) for i in range(0, len(ks), STEP_CHUNK)):
+        generators = _cf4_generators(frame, active, t0 + ks[part] * h, deltas[part], work[0])
+        # exp(-2 pi i (delta/2) G) for both factors of each rest step
+        generators *= np.repeat(deltas[part], 2)[:, None, None]
+        factors = _step_exponentials(generators, 0.5, work)
+        rests.extend(factors[1::2] @ factors[0::2])
     return u, [rest @ kept[k] for rest, k in zip(rests, ks)]
 
 
@@ -424,13 +432,14 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     Gauss-Legendre nodes, so the step error falls as dt^4.  The
     exponentials of STEP_CHUNK steps are taken as one stack by
     `_step_exponentials` (batched matmuls, no `eigh`) and multiplied in
-    order by a pairwise product.  Returns (U(duration), snapshots) with
-    snapshots the propagators at the requested times.
+    order by a pairwise product, all in one workspace per propagation.
+    Returns U(duration) and the snapshots, the propagators at the requested times.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     dim = frame.dim
     u = np.eye(dim, dtype=complex)
+    work = np.empty((6, 2 * STEP_CHUNK, dim, dim), dtype=complex)
     snapshots = []
     snap_times = sorted(float(t) for t in snapshot_times)
 
@@ -471,7 +480,7 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
         if t_b - t_a >= 2.0 * period:
             periods, rests = np.divmod(np.asarray(stops) - t_a, period)
             u_period, within = _cf4_steps(frame, active, t_a, period, dt,
-                                          np.eye(dim, dtype=complex), rests)
+                                          np.eye(dim, dtype=complex), work, rests)
             start = u
             for stop, m, u_rest in zip(stops, periods.astype(int), within):
                 u = u_rest @ (np.linalg.matrix_power(u_period, m) @ start)
@@ -479,7 +488,7 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
         else:
             for s_a, s_b in zip([t_a, *stops], stops):
                 if s_b - s_a > 1e-12:
-                    u, _ = _cf4_steps(frame, active, s_a, s_b - s_a, dt, u)
+                    u, _ = _cf4_steps(frame, active, s_a, s_b - s_a, dt, u, work)
                 record_snapshots(s_b)
         while ev_pos < len(events) and events[ev_pos][0] <= t_b + 1e-12:
             u = events[ev_pos][1] @ u
@@ -548,17 +557,19 @@ def propagate(system: SystemSpec, schedule: PulseSchedule, dt: float = DEFAULT_D
     terms, events, duration = _schedule_drive_terms(frame, schedule)
     u_frame, _ = _evolve(frame, terms, events, duration, dt)
     u_op = frame.to_operating(u_frame, duration)
+    return score_unitary(frame, u_op, schedule, q0, q1, target)
 
+
+def score_unitary(frame: OperatingFrame, u_op: np.ndarray, schedule: PulseSchedule,
+                  q0: int, q1: int, target: np.ndarray | None = None) -> GateResult:
+    """`schedule`'s gate from its operating-frame unitary, scored on the (q0, q1) block."""
     comp = frame.computational_indices(q0, q1)
     block = u_op[np.ix_(comp, comp)]
-    if target is None:
-        target = np.eye(4, dtype=complex)
-    return GateResult(
-        full_unitary=u_op,
-        computational_block=block,
-        leakage=block_leakage(block),
-        fidelity=gate_fidelity(block, target),
-        duration=duration, schedule=schedule)
+    target = np.eye(4, dtype=complex) if target is None else target
+    return GateResult(full_unitary=u_op, computational_block=block,
+                      leakage=block_leakage(block), fidelity=gate_fidelity(block, target),
+                      duration=schedule.timed_items(frame.system.num_transmons)[2],
+                      schedule=schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from starkzz import cli, config, spectrum
-from starkzz.calibrate import chain_cancellation
+from starkzz import calibrate, cli, config, spectrum
+from starkzz.calibrate import chain_cancellation, cnot_gate_result, cz_gate_result
 from starkzz.cli import main
 from starkzz.config import (apply_override, config_hash, load_preset,
                             to_system, validate_config)
@@ -387,7 +387,10 @@ class TestZxCommand:
     (["sweep", "--axis", "drives.scale:0:1:3", "--threads", "-1"], "--threads"),
     (["sweep", "--axis", "drives.scale:0:1:2", "--axis", "drives.scale:0:1:2"],
      "--axis: 'drives.scale'"),
-    (["calibrate", "chain", "--drive-frequency", "4.0"], "--drive-frequency")])
+    (["calibrate", "chain", "--drive-frequency", "4.0"], "--drive-frequency"),
+    (["calibrate", "chain", "--set", "transmons=" + json.dumps(
+        [{"frequency": f, "anharmonicity": -0.29, "levels": 3} for f in (4.96, 5.016, 4.99)]),
+      "--set", "couplings.0.endpoints=[0,2]"], "couplings[0].endpoints")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -397,19 +400,50 @@ def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
 
 class TestCalibrateCommand:
     def test_cnot_prints_the_scored_schedule(self, tmp_path, frames_built, monkeypatch):
-        """The calibration and the scoring build one frame each, and the
-        JSON schedule is the one the scored propagation ran."""
-        scored = []
-        score = cli.cnot_gate_result
-        monkeypatch.setattr(cli, "cnot_gate_result",
-                            lambda *a, **kw: scored.append(score(*a, **kw)) or scored[-1])
+        """The calibration builds the one frame, and the JSON schedule is
+        the one its result was scored from."""
+        cals = []
+        routine = cli.calibrate_cnot
+        monkeypatch.setattr(cli, "calibrate_cnot",
+                            lambda *a, **kw: cals.append(routine(*a, **kw)) or cals[-1])
         out = tmp_path / "cnot.json"
         assert main(["calibrate", "cnot", "--preset", "device-a", "--duration", "90",
                      "--out", str(out)]) == 0
-        assert len(frames_built) == 2
-        [gate] = scored
-        document = json.loads(json.dumps(schedule_to_document(gate.schedule)))
+        assert len(frames_built) == 1
+        [cal] = cals
+        document = json.loads(json.dumps(schedule_to_document(cal.result.schedule)))
         assert json.loads(out.read_text())["schedule"] == document
+
+    @pytest.mark.parametrize("gate, flags, gate_result", [
+        ("cnot", ["--duration", "90"], cnot_gate_result),
+        ("cz", ["--duration", "200", "--gate-frequency", "4.9", "--gate-amplitude", "0.026"],
+         cz_gate_result)])
+    def test_gate_scored_from_the_calibrations_propagation(self, tmp_path, monkeypatch,
+                                                           gate, flags, gate_result):
+        """The command makes exactly the calibration's `propagate` calls,
+        and its fidelity and leakage match a standalone gate result of the
+        calibration within 1e-14."""
+        propagated, calibrated = [], []
+        propagate = calibrate.propagate
+        monkeypatch.setattr(calibrate, "propagate", lambda system, schedule, **kw: (
+            propagated.append(schedule) or propagate(system, schedule, **kw)))
+        routine = getattr(cli, f"calibrate_{gate}")
+
+        def counted(*args, **kwargs):
+            cal = routine(*args, **kwargs)
+            calibrated.append((cal, len(propagated)))
+            return cal
+
+        monkeypatch.setattr(cli, f"calibrate_{gate}", counted)
+        out = tmp_path / f"{gate}.json"
+        assert main(["calibrate", gate, "--preset", "device-a", *flags,
+                     "--out", str(out)]) == 0
+        [(cal, during)] = calibrated
+        assert len(propagated) == during > 0
+        result = json.loads(out.read_text())
+        standalone = gate_result(to_system(load_preset("device-a")), cal)
+        assert abs(result["fidelity"] - standalone.fidelity) < 1e-14
+        assert abs(result["leakage"] - standalone.leakage) < 1e-14
 
     @pytest.mark.parametrize("gate, duration", [("cnot", "90"), ("cz", "200")])
     def test_json_echoes_dt(self, tmp_path, gate, duration):

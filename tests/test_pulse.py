@@ -11,13 +11,15 @@ from starkzz.calibrate import _RepeatedGate
 from starkzz.config import load_preset, to_system
 from starkzz.errors import TomographyFitError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec, basis_label,
-                               computational_labels, direct_coupling, index_to_label)
+                               computational_labels, direct_coupling, index_to_label,
+                               mode_operators)
 from starkzz import pulse
-from starkzz.pulse import (DEFAULT_DT, STEP_CHUNK, TAYLOR_THETA, TWO_PI, Envelope, FrameChange,
-                           OperatingFrame, Play, PulseSchedule, block_leakage, extract_pauli_rates,
-                           gate_fidelity, propagate, sample_envelope, _DriveTerm,
-                           _evolve, _fit_rotation, _frame_change_phases,
-                           _ordered_product, _rotation_model, _step_exponentials)
+from starkzz.pulse import (DEFAULT_DT, STEP_CHUNK, TAYLOR_DEGREE, TAYLOR_THETA, TWO_PI,
+                           Envelope, FrameChange, OperatingFrame, Play, PulseSchedule,
+                           block_leakage, extract_pauli_rates, gate_fidelity, propagate,
+                           sample_envelope, _cf4_generators, _DriveTerm, _evolve,
+                           _fit_rotation, _frame_change_phases, _ordered_product,
+                           _rotation_model, _step_exponentials)
 from starkzz.spectrum import driven_pair_rates
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -186,7 +188,7 @@ def sequential_cf4(frame, terms, t0, t1, dt, u):
                 on = (0.0 <= since) & (since <= term.envelope.duration)
             c = np.zeros(len(times), complex)
             c[on] = term.coefficient(times[on])
-            low = frame.lowering[term.target]
+            low = mode_operators(frame.dims)[1][term.target].toarray()
             hams += c[:, None, None] * low.conj().T + np.conj(c)[:, None, None] * low
         return hams
 
@@ -230,9 +232,9 @@ def count_step_stacks(monkeypatch):
     """Record the shape of every stack passed to `_step_exponentials`."""
     kernel, calls = pulse._step_exponentials, []
 
-    def counted(hams, h):
+    def counted(hams, h, work):
         calls.append(hams.shape)
-        return kernel(hams, h)
+        return kernel(hams, h, work)
 
     monkeypatch.setattr(pulse, "_step_exponentials", counted)
     return calls
@@ -277,6 +279,31 @@ class TestOperatingFrame:
         assert np.all(anchors.real > 0.5) and np.allclose(anchors.imag, 0.0, atol=1e-15)
 
 
+def workspace(rows, dim):
+    """A step-kernel workspace for stacks of up to `rows` matrices."""
+    return np.empty((6, rows, dim, dim), dtype=complex)
+
+
+def fresh_array_kernel(hams, h):
+    """Reference step kernel: the operations of `_step_exponentials` in the
+    same order, each into a new array instead of a workspace."""
+    norm = TWO_PI * h * np.abs(hams).sum(axis=-2).max()
+    squarings = max(0, math.ceil(math.log2(norm / TAYLOR_THETA))) if norm > 0 else 0
+    a = hams * (-1j * TWO_PI * h / 2.0 ** squarings)
+    powers = [np.eye(hams.shape[-1]), a, a @ a]
+    powers.append(powers[2] @ a)
+    a4 = powers[2] @ powers[2]
+    c = [1.0 / math.factorial(k) for k in range(TAYLOR_DEGREE + 1)]
+    u = c[TAYLOR_DEGREE] * a4
+    for j in range(TAYLOR_DEGREE - 4, -1, -4):
+        for k, p in enumerate(powers):
+            u += c[j + k] * p
+        u = u @ a4 if j else u
+    for _ in range(squarings):
+        u = u @ u
+    return u
+
+
 class TestStepExponentials:
     """The matmul-only step kernel against the eigenbasis exponential."""
 
@@ -290,13 +317,34 @@ class TestStepExponentials:
         hams = x + x.conj().transpose(0, 2, 1)
         h = 0.05
         hams *= scaled_norm / (TWO_PI * h * np.abs(hams).sum(axis=1).max())
-        got = _step_exponentials(hams, h)
+        got = _step_exponentials(hams, h, workspace(9, dim))
         vals, vecs = np.linalg.eigh(hams)
         phases = np.exp(-1j * TWO_PI * vals * h)[:, None, :]
         oracle = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
         for u, ref in zip(got, oracle):
             assert np.linalg.norm(u - ref) < 1e-13
             assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.02, DEFAULT_DT, 4.0])
+    def test_workspace_kernel_is_bit_identical(self, h):
+        """A device-a stack of 2 * STEP_CHUNK CF4 factors under a CR tone and
+        a DRAG target pulse, built in the workspace as `_evolve` builds it:
+        unsquared, squared three times at DEFAULT_DT and seven times at 4 ns,
+        the workspace kernel returns exactly the fresh-array kernel's
+        matrices, as a view into the workspace it was given."""
+        frame = OperatingFrame(to_system(load_preset("device-a")), 5.1)
+        detuning = frame.dressed_frequency(0) - 5.1
+        terms = [_DriveTerm(1, 0.0, flat_top(0.024, 90.0), 0.024, detuning, 0.3),
+                 _DriveTerm(0, 0.0, flat_top(0.0026, 90.0, beta=-0.52, gamma=0.01),
+                            0.0026, detuning, -0.1)]
+        work = workspace(2 * STEP_CHUNK, frame.dim)
+        starts = np.linspace(0.0, 90.0 - h, STEP_CHUNK)  # rise, flat top and fall
+        hams = _cf4_generators(frame, terms, starts, h, work[0])
+        reference = fresh_array_kernel(hams.copy(), h / 2.0)
+        got = _step_exponentials(hams, h / 2.0, work)
+        assert got.shape == (2 * STEP_CHUNK, frame.dim, frame.dim)
+        assert np.array_equal(got, reference)
+        assert np.shares_memory(got, work)
 
 
 class TestStepping:
@@ -370,6 +418,26 @@ class TestStepping:
         oracle = sequential_run(frame, [tone], times[1:], 0.05)
         fine = sequential_run(frame, [tone], times[1:], 0.025)
         assert len(snaps) == 21 and np.array_equal(u, snaps[-1])
+        assert np.array_equal(snaps[0], np.eye(frame.dim))
+        for got, coarse, ref in zip(snaps[1:], oracle, fine):
+            assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
+
+    def test_more_snapshots_than_workspace_rows(self, qutrit_pair_frame, monkeypatch):
+        """40 snapshots in one periodic stretch: the 39 after t = 0 need
+        more rest steps than the workspace holds (STEP_CHUNK), so the rest
+        stack is taken in two chunks, and each snapshot is within the
+        oracle's own step error."""
+        frame = qutrit_pair_frame
+        tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
+                          detuning=-0.0937, phase=0.4)
+        times = np.linspace(0.0, 30.3 / 0.0937, 40)
+        assert len(times) > STEP_CHUNK
+        calls = count_step_stacks(monkeypatch)
+        u, snaps = _evolve(frame, [tone], [], times[-1], 0.05, snapshot_times=times)
+        assert [shape[0] for shape in calls[-2:]] == [2 * STEP_CHUNK, 2 * (39 - STEP_CHUNK)]
+        oracle = sequential_run(frame, [tone], times[1:], 0.05)
+        fine = sequential_run(frame, [tone], times[1:], 0.025)
+        assert len(snaps) == 40 and np.array_equal(u, snaps[-1])
         assert np.array_equal(snaps[0], np.eye(frame.dim))
         for got, coarse, ref in zip(snaps[1:], oracle, fine):
             assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
