@@ -1,18 +1,15 @@
-"""Root-finding and iterative pulse-level gate calibration.
+"""ZZ cancellation searches and pulse-level gate calibration.
 
-Covers the always-on cancellation searches (phase root, amplitude root,
-chain nulling) and the closed-loop entangling-gate calibrations.  The chain
-and the gates share one Newton loop (`newton_loop`): the chain solves every
-tone amplitude jointly against qubit 0's seed Stark shift and every
-nearest-neighbour ZZ of the full-chain spectrum.  The gate loops simulate
-repeated-gate amplification sequences: the gate propagator is computed once
-per iteration, powers of it generate target-population trajectories versus
-repetition count, rotation angles are fit from those trajectories, and
-Newton updates drive every monitored angle to its goal until every error is
-below `ANGLE_TOLERANCE`.  Each gate
-has one pulse shape: sigma `GATE_SIGMA` = 10 ns, a rise of 2 sigma for the CNOT
-and 3 sigma for the CZ, amplified over `GATE_REPETITIONS` = 17 repetitions.
-A calibration's `result` is scored from the loops' own propagation of its pulse.
+Every calibration is one `newton_loop` solve.  The pair searches null one
+pair's ZZ in a single unknown, the tone phase difference or the squared tone
+scale, to `PAIR_TOLERANCE`; the chain moves every tone amplitude against
+qubit 0's seed Stark shift and every nearest-neighbour ZZ of the full-chain
+spectrum.  The CNOT and CZ loops fit rotation angles from repeated-gate
+amplification trajectories (each distinct pulse propagated once, the gate
+repeated up to `GATE_REPETITIONS` = 17 times) and drive every angle below
+`ANGLE_TOLERANCE`.  Each gate has one pulse shape: sigma `GATE_SIGMA` = 10 ns,
+a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
+`result` is scored from the loops' own propagation of its pulse.
 """
 
 from __future__ import annotations
@@ -38,15 +35,17 @@ TWO_PI = 2.0 * math.pi
 NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
-MAX_NEWTON_ITERATIONS = 50  # iteration cap of the chain and gate Newton loops
+MAX_NEWTON_ITERATIONS = 50  # iteration cap of every Newton solve
 GATE_REPETITIONS = 17  # repetitions each amplification trajectory runs to
 GATE_SIGMA = 10.0  # Gaussian edge width of the gate pulses (ns)
 CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_SIGMA
-AMPLITUDE_GRID_POINTS = 24  # scale-grid intervals bracketing the pair-tone ZZ null
 CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may reach
 #: Largest |error| (GHz) of the chain solve's seed shift and NN ZZ at convergence.
 CHAIN_TOLERANCE = NULL_TOLERANCE / 100
 CHAIN_JACOBIAN_STEP = 1e-4  # forward-difference amplitude step (GHz) of the chain Jacobian
+#: |ZZ| (GHz) ending the pair phase and amplitude searches.
+PAIR_TOLERANCE = 1e-12
+PAIR_JACOBIAN_STEP = 1e-4  # forward-difference step of the pair searches (rad or scale^2)
 CZ_TARGET = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)  # ideal CZ on the 00..11 block
 
 
@@ -108,26 +107,50 @@ def _wrap_angle(x: float) -> float:
 # ---------------------------------------------------------------------------
 # CW cancellation searches
 
-def _pair_tones(system: SystemSpec, q0: int, q1: int):
-    tones = {d.target: i for i, d in enumerate(system.drives)}
-    if q0 not in tones or q1 not in tones:
-        raise ValueError(f"system needs cancellation tones on qubits {q0} and {q1}")
-    return tones[q0], tones[q1]
+@dataclass
+class _Unknowns:
+    """Newton state of a cancellation solve: its parameters, and the
+    spectrum `measure` last read at them (the chain's)."""
+
+    params: tuple[float, ...]
+    spectrum: LabeledSpectrum | None = None
+    iterations: int = 0
+    transcript: list = field(default_factory=list)
+
+
+def _pair_null(zz_at, seed: float, name: str, check=lambda value: None) -> float:
+    """Root of `zz_at` by one `newton_loop` solve from `seed` to |zz| below
+    `PAIR_TOLERANCE`; `check` may reject each step (not the Jacobian probe)."""
+    search = _Unknowns((seed,))
+
+    def set_params(unknowns: _Unknowns, p: np.ndarray) -> None:
+        if unknowns is search:
+            check(p[0])
+        unknowns.params = (float(p[0]),)
+
+    newton_loop(search, lambda s: np.array([zz_at(*s.params)]), lambda s: np.array(s.params),
+                set_params, np.array([PAIR_JACOBIAN_STEP]), lambda s: {name: s.params[0]},
+                PAIR_TOLERANCE, MAX_NEWTON_ITERATIONS, f"{name} search", error_key="zz",
+                unit="GHz")
+    return search.params[0]
 
 
 def _zz_at_phase(system: SystemSpec, q0: int, q1: int, phi: float) -> float:
-    i0, i1 = _pair_tones(system, q0, q1)
+    tones = {d.target: i for i, d in enumerate(system.drives)}
+    if q0 not in tones or q1 not in tones:
+        raise ValueError(f"system needs cancellation tones on qubits {q0} and {q1}")
     drives = list(system.drives)
-    drives[i0] = replace(drives[i0], phase=drives[i1].phase + phi)
+    drives[tones[q0]] = replace(drives[tones[q0]], phase=drives[tones[q1]].phase + phi)
     return driven_pair_rates(system.with_drives(drives), q0, q1).zz
 
 
 def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1) -> float:
-    """Phase difference nulling the pair's ZZ at fixed tone amplitudes.
+    """Phase difference in [0, pi] nulling the pair's ZZ at fixed tone amplitudes.
 
-    Roots phi -> zz(phi) on [0, pi]; requires the modulation amplitude to
-    exceed the static value so the endpoints bracket zero, otherwise
-    InsufficientAmplitudeError asks for larger amplitudes.
+    zz(0) and zz(pi) must bracket zero (an endpoint already below
+    `NULL_TOLERANCE` is returned as is), else InsufficientAmplitudeError asks
+    for larger amplitudes.  Newton starts at the null of the cosine through
+    both endpoints; zz(-phi) = zz(phi) as H(-phi) = H(phi)*, so |phi| is reported.
     """
     zz0 = _zz_at_phase(system, q0, q1, 0.0)
     zz_pi = _zz_at_phase(system, q0, q1, math.pi)
@@ -141,61 +164,38 @@ def find_cancellation_phase(system: SystemSpec, q0: int = 0, q1: int = 1) -> flo
         raise InsufficientAmplitudeError(
             f"zz(0)={zz0:.3e} and zz(pi)={zz_pi:.3e} GHz do not bracket "
             "zero; raise the tone amplitudes")
-    import scipy.optimize  # off start-up
-    phi_star = scipy.optimize.brentq(
-        lambda phi: _zz_at_phase(system, q0, q1, phi), 0.0, math.pi, xtol=1e-10)
-    residual = _zz_at_phase(system, q0, q1, phi_star)
-    if abs(residual) > NULL_TOLERANCE:
-        raise InsufficientAmplitudeError(
-            f"root search stalled at |zz|={abs(residual):.3e} GHz")
-    return float(phi_star)
-
-
-def _zz_at_scale(system: SystemSpec, q0: int, q1: int, scale: float) -> float:
-    scaled = apply_drive_axis(system, "drives.scale", scale)
-    return driven_pair_rates(scaled, q0, q1).zz
+    seed = math.acos((zz0 + zz_pi) / (zz_pi - zz0)) if zz_pi != zz0 else 0.0
+    phi = _pair_null(lambda p: _zz_at_phase(system, q0, q1, p), seed, "phase_difference")
+    return abs(_wrap_angle(phi))
 
 
 def find_cancellation_amplitude(system: SystemSpec, q0: int = 0, q1: int = 1,
                                 max_scale: float = 10.0) -> float:
-    """Minimal positive scale of the tone pair that nulls the pair's ZZ.
+    """Positive scale of the tone pair that nulls the pair's ZZ.
 
     The system's drives fix the amplitude ratio and the phase difference
     (pi for cancellation against a positive static value).  Returns 0.0
-    when the undriven ZZ is already below `NULL_TOLERANCE`; raises
-    CancellationUnreachableError when no crossing exists below `max_scale`.
+    when the undriven ZZ is already below `NULL_TOLERANCE`.  Newton solves
+    in the squared scale, where ZZ is close to linear, starting from 0; a
+    step outside [0, `max_scale`] raises CancellationUnreachableError.
     """
-    zz_zero = _zz_at_scale(system, q0, q1, 0.0)
-    if abs(zz_zero) < NULL_TOLERANCE:
+    def zz_at(scale2: float) -> float:
+        scaled = apply_drive_axis(system, "drives.scale", math.sqrt(scale2))
+        return driven_pair_rates(scaled, q0, q1).zz
+
+    def check(scale2: float) -> None:
+        if not 0.0 <= scale2 <= max_scale ** 2:
+            raise CancellationUnreachableError(
+                f"the amplitude search reaches a scale of "
+                f"{math.copysign(abs(scale2) ** 0.5, scale2):.4g}, outside [0, {max_scale:g}]")
+
+    if abs(zz_at(0.0)) < NULL_TOLERANCE:
         return 0.0
-    previous_scale, previous_zz = 0.0, zz_zero
-    for scale in np.linspace(0.0, max_scale, AMPLITUDE_GRID_POINTS + 1)[1:]:
-        zz = _zz_at_scale(system, q0, q1, float(scale))
-        if zz_zero * zz <= 0.0:
-            import scipy.optimize  # off start-up
-            root = scipy.optimize.brentq(
-                lambda s: _zz_at_scale(system, q0, q1, s),
-                previous_scale, float(scale), xtol=1e-9)
-            return float(root)
-        previous_scale, previous_zz = float(scale), zz
-    raise CancellationUnreachableError(
-        f"no ZZ zero crossing up to {max_scale}x the template amplitudes "
-        f"(last zz {previous_zz:.3e} GHz)")
+    return math.sqrt(_pair_null(zz_at, 0.0, "scale_squared", check))
 
 
 # ---------------------------------------------------------------------------
 # chain cancellation
-
-@dataclass
-class _ChainTones:
-    """Newton state of the chain solve: one tone amplitude per qubit, and
-    the full-chain spectrum `measure` last read at them."""
-
-    amplitudes: tuple[float, ...]
-    spectrum: LabeledSpectrum | None = None
-    iterations: int = 0
-    transcript: list = field(default_factory=list)
-
 
 def chain_cancellation(chain: SystemSpec, nu_d: float,
                        seed_stark_shift: float = 1e-3) -> CancellationSolution:
@@ -227,35 +227,35 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     reference = undriven_reference(chain)
     phases = tuple(math.pi * (i % 2) for i in range(n))
 
-    def measure(tones: _ChainTones) -> np.ndarray:
+    def measure(tones: _Unknowns) -> np.ndarray:
         tones.spectrum = rwa_spectrum(base.with_drives(tuple(
             DriveTone(q, amp, nu_d, phase)
-            for q, (amp, phase) in enumerate(zip(tones.amplitudes, phases)))), nu_d)
+            for q, (amp, phase) in enumerate(zip(tones.params, phases)))), nu_d)
         seed = abs(stark_shift(tones.spectrum, reference, 0)) - seed_stark_shift
         return np.array([seed, *(pair_rates(tones.spectrum, i, i + 1).zz
                                  for i in range(n - 1))])
 
-    def set_params(tones: _ChainTones, p: np.ndarray) -> None:
+    def set_params(tones: _Unknowns, p: np.ndarray) -> None:
         for q, amp in enumerate(p):
             if not 0.0 <= amp <= CHAIN_AMPLITUDE_CAP:
                 raise CancellationUnreachableError(
                     f"qubit {q}: the chain solve reaches a tone amplitude of "
                     f"{amp * 1e3:.3g} MHz, outside [0, {CHAIN_AMPLITUDE_CAP * 1e3:.0f}] MHz")
-        tones.amplitudes = tuple(float(amp) for amp in p)
+        tones.params = tuple(float(amp) for amp in p)
 
     unit_tone = base.with_drives((DriveTone(0, 1.0, nu_d),))
     stark_per_amp2 = single_drive_stark(PerturbativeInputs.for_pair(unit_tone, 0, 1), 0)
-    tones = _ChainTones(())
+    tones = _Unknowns(())
     set_params(tones, np.full(n, math.sqrt(abs(2.0 * seed_stark_shift / stark_per_amp2))))
-    newton_loop(tones, measure, lambda t: np.array(t.amplitudes), set_params,
+    newton_loop(tones, measure, lambda t: np.array(t.params), set_params,
                 np.full(n, CHAIN_JACOBIAN_STEP),
-                lambda t: {f"amplitude_{q}": amp for q, amp in enumerate(t.amplitudes)},
+                lambda t: {f"amplitude_{q}": amp for q, amp in enumerate(t.params)},
                 CHAIN_TOLERANCE, MAX_NEWTON_ITERATIONS, "chain solve",
                 error_key="max_frequency_error", unit="GHz")
 
     rates = [pair_rates(tones.spectrum, i, i + 1) for i in range(n - 1)]
     return CancellationSolution(
-        amplitudes=tones.amplitudes, phases=phases, drive_frequency=nu_d,
+        amplitudes=tones.params, phases=phases, drive_frequency=nu_d,
         residual_zz=tuple(r.zz for r in rates),
         stark_shifts=tuple(stark_shift(tones.spectrum, reference, q) for q in range(n)),
         min_overlap=min(r.min_overlap for r in rates), transcript=tones.transcript)

@@ -366,11 +366,7 @@ def cmd_calibrate(args) -> int:
 
 
 def _transcript_table(transcript):
-    keys: list[str] = []
-    for row in transcript:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = list(dict.fromkeys(key for row in transcript for key in row))
     rows = [tuple(row.get(key, "") for key in keys) for row in transcript]
     return keys, rows
 
@@ -454,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--seed-shift", type=float, default=1e-3,
                        help="|Stark shift| of qubit 0 with every chain tone on (GHz)")
     p_cal.add_argument("--max-scale", type=float, default=30.0,
-                       help="amplitude search cap for cancel (x template)")
+                       help="largest scale (x template) the cancel search may step to")
     p_cal.add_argument("--transcript", help="per-iteration transcript CSV path")
     p_cal.set_defaults(func=cmd_calibrate)
     return parser

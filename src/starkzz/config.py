@@ -72,21 +72,25 @@ def validate_config(document: dict) -> dict:
         for key in ("frequency", "anharmonicity"):
             if key not in t:
                 raise ConfigError(f"missing {key}", f"transmons[{i}]")
-        t.setdefault("levels", 5)
+        if t.setdefault("levels", 5) < 2:
+            raise ConfigError(f"must be >= 2, got {t['levels']}", f"transmons[{i}].levels")
     for i, c in enumerate(doc.get("couplings", [])):
         _check_keys(c, _COUPLING_KEYS, f"couplings[{i}]")
         kind = c.get("kind")
         if kind not in ("direct", "bus"):
             raise ConfigError("kind must be 'direct' or 'bus'",
                               f"couplings[{i}].kind")
-        if len(c.get("endpoints", [])) != 2:
-            raise ConfigError("endpoints must be a pair",
-                              f"couplings[{i}].endpoints")
+        check_transmon_pair(c.get("endpoints", []), len(transmons), f"couplings[{i}].endpoints")
     for i, d in enumerate(doc.get("drives", [])):
         _check_keys(d, _DRIVE_KEYS, f"drives[{i}]")
         for key in ("target", "amplitude", "frequency"):
             if key not in d:
                 raise ConfigError(f"missing {key}", f"drives[{i}]")
+        if not 0 <= d["target"] < len(transmons):
+            raise ConfigError(f"must be a transmon index in [0, {len(transmons) - 1}], "
+                              f"got {d['target']}", f"drives[{i}].target")
+        if not d["amplitude"] >= 0:
+            raise ConfigError(f"must be >= 0, got {d['amplitude']}", f"drives[{i}].amplitude")
         d.setdefault("phase", 0.0)
         if d.setdefault("role", "cancellation") != "cancellation":
             raise ConfigError("must be 'cancellation': config drives are "
@@ -140,8 +144,6 @@ def to_system(document: dict) -> SystemSpec:
             for d in doc["drives"])
         system = SystemSpec(transmons=transmons, couplings=tuple(couplings),
                             drives=drives, dimension_cap=doc["dimension_cap"])
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     if doc["frequencies_are_dressed"]:

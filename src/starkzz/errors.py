@@ -42,7 +42,7 @@ class InsufficientAmplitudeError(StarkZZError):
 
 
 class CancellationUnreachableError(StarkZZError):
-    """No ZZ zero crossing within the allowed amplitude range."""
+    """The ZZ null lies outside the allowed amplitude range."""
 
 
 class NonconvergenceError(StarkZZError):

@@ -81,6 +81,25 @@ class TestPhaseNull:
         with pytest.raises(InsufficientAmplitudeError):
             find_cancellation_phase(system)
 
+    def test_uncoupled_returns_an_endpoint(self, monkeypatch):
+        """zz vanishing at both endpoints returns one of them, with no
+        division by the endpoint difference."""
+        system = SystemSpec(
+            transmons=(TransmonSpec(4.96, -0.29, 3), TransmonSpec(5.02, -0.29, 3)),
+            drives=tone_pair(0.02, 0.02, phi0=0.0))
+        assert find_cancellation_phase(system) in (0.0, math.pi)
+        monkeypatch.setattr(calibrate, "_zz_at_phase", lambda *args: 0.0)
+        assert find_cancellation_phase(system) == 0.0
+
+    def test_nonconvergence_carries_the_transcript(self, device_a, monkeypatch):
+        monkeypatch.setattr(calibrate, "MAX_NEWTON_ITERATIONS", 2)
+        with pytest.raises(NonconvergenceError, match="after 2 iterations") as err:
+            find_cancellation_phase(device_a.with_drives(tone_pair(0.0649, 0.0242, phi0=0.0)))
+        rows = err.value.transcript
+        assert [row["iteration"] for row in rows] == [0, 1]
+        assert all(abs(row["zz"]) > calibrate.PAIR_TOLERANCE for row in rows)
+        assert all(0.0 < row["phase_difference"] < math.pi for row in rows)
+
     def test_global_phase_offset_invariance(self, device_a):
         base = device_a.with_drives(tone_pair(0.0649, 0.0242, phi0=0.0))
         shifted = device_a.with_drives(
@@ -111,6 +130,35 @@ class TestAmplitudeNull:
         # wrong phase: the induced part adds to the static value
         system = device_a.with_drives(tone_pair(0.01, 0.01, phi0=0.0))
         with pytest.raises(CancellationUnreachableError):
+            find_cancellation_amplitude(system, max_scale=3.0)
+
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0, 0.1])
+    def test_template_size_only_moves_the_scale(self, factor):
+        """The device-a 59:22 template nulls at scale 1.0544; the same
+        template 10x too large or too small nulls at 0.1054 or 10.54."""
+        device_a = to_system(load_preset("device-a"))
+        system = device_a.with_drives(tone_pair(0.059 * factor, 0.022 * factor))
+        scale = find_cancellation_amplitude(system, max_scale=30.0)
+        assert scale == pytest.approx(1.0543730505562796 / factor, rel=1e-8)
+
+    def test_device_b_pair_search_takes_few_spectra(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return driven_pair_rates(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "driven_pair_rates", counting)
+        scale = find_cancellation_amplitude(to_system(load_preset("device-b-pair")),
+                                            max_scale=30.0)
+        assert scale == pytest.approx(14.823552217564387, rel=1e-8)
+        assert len(calls) <= 8
+
+    def test_unreachable_names_the_scale(self, device_a):
+        system = device_a.with_drives(tone_pair(0.01, 0.01, phi0=0.0))
+        with pytest.raises(CancellationUnreachableError,
+                           match=r"reaches a scale of -\d.*, outside \[0, 3\]"):
             find_cancellation_amplitude(system, max_scale=3.0)
 
 

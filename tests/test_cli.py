@@ -209,7 +209,7 @@ class TestSweepCommand:
         assert code == 0
         header, rows = read_rows(out)
         errors = [r[header.index("error")] for r in rows]
-        assert errors[0].startswith("ConfigError: amplitude must be >= 0")
+        assert errors[0] == "ConfigError: drives[0].amplitude: must be >= 0, got -0.01"
         assert errors[-1] == ""
         assert math.isnan(float(rows[0][header.index("zz_numeric")]))
 
@@ -390,7 +390,12 @@ class TestZxCommand:
     (["calibrate", "chain", "--drive-frequency", "4.0"], "--drive-frequency"),
     (["calibrate", "chain", "--set", "transmons=" + json.dumps(
         [{"frequency": f, "anharmonicity": -0.29, "levels": 3} for f in (4.96, 5.016, 4.99)]),
-      "--set", "couplings.0.endpoints=[0,2]"], "couplings[0].endpoints")])
+      "--set", "couplings.0.endpoints=[0,2]"], "couplings[0].endpoints"),
+    (["zz", "--set", "transmons.0.levels=1"], "transmons[0].levels"),
+    (["zz", "--set", "couplings.0.endpoints=[0,2]"], "couplings[0].endpoints"),
+    (["zz", "--set", "couplings.0.endpoints=[1,1]"], "couplings[0].endpoints"),
+    (["zz", "--set", "drives.0.amplitude=-0.01"], "drives[0].amplitude"),
+    (["zz", "--set", "drives.1.target=2"], "drives[1].target")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -483,6 +488,17 @@ class TestCalibrateCommand:
         assert result["amplitudes"][0] == pytest.approx(15e-3, rel=0.2)
         assert abs(result["residual_zz"]) < 5e-6
 
+    def test_cancel_nonconvergence_exits_3_with_its_transcript(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(calibrate, "MAX_NEWTON_ITERATIONS", 2)
+        out = tmp_path / "cancel.json"
+        assert main(["calibrate", "cancel", "--preset", "device-b-pair",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "nonconvergence: scale_squared search above 1e-12 GHz after 2 iterations" in err
+        assert err.count("{'iteration': ") == 2
+        assert not out.exists()
+
     def test_cz_byte_identical_reruns(self, tmp_path):
         runs = [(tmp_path / f"{name}.json", tmp_path / f"{name}.csv") for name in "ab"]
         for out, transcript in runs:
@@ -502,8 +518,8 @@ class TestCalibrateCommand:
 
 def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
     """Importing the CLI, fitting device-a's bare parameters and running
-    `zz`, a phase sweep and a 3-transmon `calibrate chain` load no
-    optimizer, so these commands do not pay for importing scipy.optimize."""
+    `zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`
+    load no optimizer, so these commands do not pay for importing scipy.optimize."""
     doc = load_preset("device-b-chain")
     cut = [f"{key}={json.dumps(value)}" for key, value in (
         ("transmons", doc["transmons"][:3]),
@@ -520,6 +536,8 @@ assert starkzz.cli.main(["sweep", "--preset", "device-a", "--out", out + "/phase
 assert starkzz.cli.main(["calibrate", "chain", "--preset", "device-b-chain",
                          "--set", {cut[0]!r}, "--set", {cut[1]!r},
                          "--out", out + "/chain.json"]) == 0
+assert starkzz.cli.main(["calibrate", "cancel", "--preset", "device-b-pair",
+                         "--out", out + "/cancel.json"]) == 0
 print("scipy.optimize" in sys.modules)
 """
     src = pathlib.Path(cli.__file__).parents[1]
