@@ -4,9 +4,12 @@ Every calibration is one `newton_loop` solve.  The pair searches null one
 pair's ZZ in a single unknown, the tone phase difference or the squared tone
 scale, to `PAIR_TOLERANCE`; the chain moves every tone amplitude against
 qubit 0's seed Stark shift and every nearest-neighbour ZZ of the full-chain
-spectrum.  The CNOT and CZ loops fit rotation angles from repeated-gate
-amplification trajectories (each distinct pulse propagated once, the gate
-repeated up to `GATE_REPETITIONS` = 17 times) and drive every angle below
+spectrum, starting from the closed-form (single-drive Stark and SIZZLE ZZ)
+Jacobian and updating it by Broyden's secant rule, with forward differences
+only as the fallback when a step fails to lower the error.  The CNOT and CZ
+loops fit rotation angles from repeated-gate amplification trajectories
+(each distinct pulse propagated once, the gate repeated up to
+`GATE_REPETITIONS` = 17 times) and drive every angle below
 `ANGLE_TOLERANCE`.  Each gate has one pulse shape: sigma `GATE_SIGMA` = 10 ns,
 a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
 `result` is scored from the loops' own propagation of its pulse.
@@ -22,7 +25,8 @@ import numpy as np
 from .errors import (CancellationUnreachableError, ConfigError,
                      InsufficientAmplitudeError, NonconvergenceError)
 from .operators import DriveTone, SystemSpec, bare_index, basis_label
-from .perturbation import PerturbativeInputs, seed_zx_rate, single_drive_stark
+from .perturbation import (PerturbativeInputs, seed_zx_rate, single_drive_stark,
+                           sizzle_zz_induced)
 from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
                     PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
                     _evolve, _fit_rotation, _frame_change_phases, propagate, score_unitary)
@@ -42,7 +46,7 @@ CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_S
 CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may reach
 #: Largest |error| (GHz) of the chain solve's seed shift and NN ZZ at convergence.
 CHAIN_TOLERANCE = NULL_TOLERANCE / 100
-CHAIN_JACOBIAN_STEP = 1e-4  # forward-difference amplitude step (GHz) of the chain Jacobian
+CHAIN_JACOBIAN_STEP = 1e-4  # amplitude step (GHz) of the chain's fallback forward differences
 #: |ZZ| (GHz) ending the pair phase and amplitude searches.
 PAIR_TOLERANCE = 1e-12
 PAIR_JACOBIAN_STEP = 1e-4  # forward-difference step of the pair searches (rad or scale^2)
@@ -206,7 +210,13 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     Stark shift magnitude equals `seed_stark_shift` and every nearest-
     neighbour ZZ vanishes, each within `CHAIN_TOLERANCE`, all read from one
     full-chain spectrum per evaluation.  Every amplitude starts at qubit
-    0's perturbative guess; a start or step outside [0,
+    0's perturbative guess.  The first Jacobian is the closed form at the
+    start: d|shift_0|/da_0 = |stark_per_amp2| a_0 from `single_drive_stark`,
+    and each NN row the derivative of `sizzle_zz` in the pair's two
+    amplitudes; Broyden updates refine it, and a step that fails to lower
+    the error retakes it by forward differences (`CHAIN_JACOBIAN_STEP`),
+    so the closed forms only steer the solve and every residual is read
+    from the spectrum.  A start or step outside [0,
     `CHAIN_AMPLITUDE_CAP`] raises CancellationUnreachableError, a non-line
     coupling ConfigError.  The solution reports the spectrum of the
     converged amplitudes.
@@ -227,10 +237,12 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
     reference = undriven_reference(chain)
     phases = tuple(math.pi * (i % 2) for i in range(n))
 
+    def driven(tones: _Unknowns) -> SystemSpec:
+        return base.with_drives(tuple(DriveTone(q, amp, nu_d, phase)
+                                      for q, (amp, phase) in enumerate(zip(tones.params, phases))))
+
     def measure(tones: _Unknowns) -> np.ndarray:
-        tones.spectrum = rwa_spectrum(base.with_drives(tuple(
-            DriveTone(q, amp, nu_d, phase)
-            for q, (amp, phase) in enumerate(zip(tones.params, phases)))), nu_d)
+        tones.spectrum = rwa_spectrum(driven(tones), nu_d)
         seed = abs(stark_shift(tones.spectrum, reference, 0)) - seed_stark_shift
         return np.array([seed, *(pair_rates(tones.spectrum, i, i + 1).zz
                                  for i in range(n - 1))])
@@ -243,6 +255,19 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
                     f"{amp * 1e3:.3g} MHz, outside [0, {CHAIN_AMPLITUDE_CAP * 1e3:.0f}] MHz")
         tones.params = tuple(float(amp) for amp in p)
 
+    def model_jacobian(tones: _Unknowns) -> np.ndarray:
+        """d(residuals)/d(amplitudes) of the closed forms: qubit 0's Stark
+        shift |stark_per_amp2| a0^2 / 2 and each pair's SIZZLE ZZ, bilinear
+        in the pair's amplitudes."""
+        jac = np.zeros((n, n))
+        jac[0, 0] = abs(stark_per_amp2) * tones.params[0]
+        system = driven(tones)
+        for i in range(n - 1):
+            pair = PerturbativeInputs.for_pair(system, i, i + 1)
+            per_amp2 = sizzle_zz_induced(replace(pair, omega0=1.0, omega1=1.0))
+            jac[i + 1, i:i + 2] = per_amp2 * pair.omega1, per_amp2 * pair.omega0
+        return jac
+
     unit_tone = base.with_drives((DriveTone(0, 1.0, nu_d),))
     stark_per_amp2 = single_drive_stark(PerturbativeInputs.for_pair(unit_tone, 0, 1), 0)
     tones = _Unknowns(())
@@ -251,7 +276,7 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
                 np.full(n, CHAIN_JACOBIAN_STEP),
                 lambda t: {f"amplitude_{q}": amp for q, amp in enumerate(t.params)},
                 CHAIN_TOLERANCE, MAX_NEWTON_ITERATIONS, "chain solve",
-                error_key="max_frequency_error", unit="GHz")
+                error_key="max_frequency_error", unit="GHz", jacobian=model_jacobian)
 
     rates = [pair_rates(tones.spectrum, i, i + 1) for i in range(n - 1)]
     return CancellationSolution(
@@ -387,7 +412,7 @@ def _attributes(*names):
 def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
                 logged, tolerance: float, max_iterations: int,
                 name: str, cap=None, check=None, error_key: str = "max_angle_error",
-                unit: str = "rad") -> None:
+                unit: str = "rad", jacobian=None) -> None:
     """Drive every error `measure(cal)` below `tolerance` (in `unit`).
 
     Each iteration appends a transcript row (the iteration, the largest
@@ -396,9 +421,18 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
     `get_params(cal)` by the least-squares Newton step of a forward-
     difference Jacobian (one `steps` entry per parameter).  The Jacobian is
     taken at the first iteration and again whenever the error grows after
-    a full step; a step after an error growth is halved.  `cap(cal)`, when
-    given, bounds each parameter's update, and `check(jac)` may reject each
-    new Jacobian by raising.  On convergence `cal.iterations` is set; after
+    a full step; a step after an error growth is halved.
+
+    A model `jacobian(cal)`, when given, replaces the first forward-
+    difference Jacobian; every later step that keeps it applies Broyden's
+    rank-one secant update J += (dr - J dp) dp^T / (dp^T dp) for the last
+    step dp and residual change dr, and a full step that fails to lower the
+    error (not only one that raises it) retakes it by forward differences,
+    so a model row that misses a dependence cannot stall the solve.
+
+    `cap(cal)`, when given, bounds each parameter's update, and
+    `check(jac)` may reject each new (model or forward-difference)
+    Jacobian by raising.  On convergence `cal.iterations` is set; after
     `max_iterations` NonconvergenceError carries the transcript.
     """
     jac = None
@@ -411,24 +445,32 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
         if err < tolerance:
             cal.iterations = iteration
             return
-        if jac is None or (err > previous and damping == 1.0):
-            p0 = get_params(cal)
-            jac = np.zeros((len(residual), len(p0)))
-            for k in range(len(p0)):
-                trial = replace(cal, transcript=[])
-                p = p0.copy()
-                p[k] += steps[k]
-                set_params(trial, p)
-                jac[:, k] = (measure(trial) - residual) / steps[k]
+        p0 = get_params(cal)
+        stalled = err >= previous if jacobian is not None else err > previous
+        if jac is None or (stalled and damping == 1.0):
+            if jac is None and jacobian is not None:
+                jac = jacobian(cal)
+            else:
+                jac = np.zeros((len(residual), len(p0)))
+                for k in range(len(p0)):
+                    trial = replace(cal, transcript=[])
+                    p = p0.copy()
+                    p[k] += steps[k]
+                    set_params(trial, p)
+                    jac[:, k] = (measure(trial) - residual) / steps[k]
             if check is not None:
                 check(jac)
+        elif jacobian is not None:
+            dp = p0 - last_params
+            if dp @ dp > 0.0:
+                jac = jac + np.outer(residual - last_residual - jac @ dp, dp) / (dp @ dp)
         damping = 0.5 if err > previous else 1.0
         update = np.linalg.lstsq(jac, residual, rcond=1e-8)[0]
         if cap is not None:
             bound = cap(cal)
             update = np.clip(update, -bound, bound)
-        set_params(cal, get_params(cal) - damping * update)
-        previous = err
+        set_params(cal, p0 - damping * update)
+        previous, last_params, last_residual = err, p0, residual
     raise NonconvergenceError(
         f"{name} above {tolerance} {unit} after {max_iterations} iterations",
         transcript=cal.transcript)

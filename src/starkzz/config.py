@@ -74,13 +74,24 @@ def validate_config(document: dict) -> dict:
                 raise ConfigError(f"missing {key}", f"transmons[{i}]")
         if t.setdefault("levels", 5) < 2:
             raise ConfigError(f"must be >= 2, got {t['levels']}", f"transmons[{i}].levels")
+        if not t["frequency"] > 0:
+            raise ConfigError(f"must be positive, got {t['frequency']}",
+                              f"transmons[{i}].frequency")
+        if t["anharmonicity"] == 0:
+            raise ConfigError("must be nonzero", f"transmons[{i}].anharmonicity")
+    coupled = set()
     for i, c in enumerate(doc.get("couplings", [])):
         _check_keys(c, _COUPLING_KEYS, f"couplings[{i}]")
         kind = c.get("kind")
         if kind not in ("direct", "bus"):
             raise ConfigError("kind must be 'direct' or 'bus'",
                               f"couplings[{i}].kind")
-        check_transmon_pair(c.get("endpoints", []), len(transmons), f"couplings[{i}].endpoints")
+        endpoints = c.get("endpoints", [])
+        check_transmon_pair(endpoints, len(transmons), f"couplings[{i}].endpoints")
+        if (kind, frozenset(endpoints)) in coupled:
+            raise ConfigError(f"duplicate {kind} coupling on pair {endpoints}",
+                              f"couplings[{i}].endpoints")
+        coupled.add((kind, frozenset(endpoints)))
     for i, d in enumerate(doc.get("drives", [])):
         _check_keys(d, _DRIVE_KEYS, f"drives[{i}]")
         for key in ("target", "amplitude", "frequency"):

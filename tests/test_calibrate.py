@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -61,9 +61,8 @@ class TestPhaseNull:
         A reduced coupling keeps both the static and the induced parts in
         the perturbative regime where the closed forms are accurate.
         """
-        from dataclasses import replace as dc_replace
         amp0, amp1 = 0.012, 0.009
-        weak = dc_replace(device_a, couplings=(direct_coupling(0, 1, 0.0005),))
+        weak = replace(device_a, couplings=(direct_coupling(0, 1, 0.0005),))
         t0, t1 = weak.transmons
         inputs = PerturbativeInputs(
             nu0=t0.frequency, nu1=t1.frequency, alpha0=t0.anharmonicity,
@@ -281,6 +280,31 @@ class TestChainCancellation:
         with pytest.raises(ValueError):
             chain_cancellation(chain, NU_D)
 
+    @pytest.mark.parametrize("levels, budget", [(None, 5), ((5, 4, 4, 4, 4), 5)])
+    def test_device_b_chain_spectrum_budget(self, monkeypatch, levels, budget):
+        """The closed-form first Jacobian and Broyden updates solve the full
+        3-level chain and the benchmark's 5-transmon cut in a handful of
+        full-chain spectra (11 and 9 with a forward-difference Jacobian)."""
+        chain = to_system(load_preset("device-b-chain"))
+        if levels is not None:
+            chain = SystemSpec(
+                transmons=tuple(replace(t, levels=n)
+                                for t, n in zip(chain.transmons, levels)),
+                couplings=tuple(c for c in chain.couplings
+                                if max(c.endpoints) < len(levels)))
+        spectra = count_spectra(monkeypatch)
+        solution = chain_cancellation(chain, NU_D, seed_stark_shift=1e-3)
+        assert len(spectra) <= budget
+        assert max(abs(r) for r in solution.residual_zz) < calibrate.CHAIN_TOLERANCE
+
+    def test_device_a_chain_spectrum_budget(self, device_a, monkeypatch):
+        """Device-a's far start (a 0.6 MHz first error) takes at most 8
+        spectra, where the forward-difference solve took 25."""
+        spectra = count_spectra(monkeypatch)
+        solution = chain_cancellation(device_a, NU_D, seed_stark_shift=1e-3)
+        assert len(spectra) <= 8
+        assert max(abs(r) for r in solution.residual_zz) < calibrate.CHAIN_TOLERANCE
+
 
 class TestDrivenZzRate:
     def test_matches_spectrum_for_common_frequency(self, device_a):
@@ -363,6 +387,14 @@ def count_propagations(monkeypatch):
         return propagate(system, schedule, **kw)
 
     monkeypatch.setattr(calibrate, "propagate", counted)
+    return calls
+
+
+def count_spectra(monkeypatch):
+    """Record every `rwa_spectrum` call the chain solve makes."""
+    calls = []
+    monkeypatch.setattr(calibrate, "rwa_spectrum",
+                        lambda *a, **kw: calls.append(a) or rwa_spectrum(*a, **kw))
     return calls
 
 
@@ -509,3 +541,67 @@ class TestNewtonLoop:
         run_newton(lambda k: np.array([k.x - 1.0, k.y + 2.0]), check=seen.append)
         assert len(seen) == 1
         assert np.allclose(seen[0], np.eye(2), atol=1e-9)
+
+    def test_without_model_rows_are_unchanged(self):
+        """Without a model Jacobian the loop keeps its forward-difference
+        path: from x = 1.45 the first Newton step on atan overshoots, the
+        Jacobian is retaken and the next step halved, and every row equals
+        the one this loop has always produced."""
+        knobs = run_newton(lambda k: np.array([math.atan(k.x) + 0.1 * k.y,
+                                               k.y + 0.3 * math.sin(k.x) - 0.2]),
+                           start=(1.45, 0.0), tolerance=1e-6)
+        rows = [(r["iteration"], r["max_angle_error"], r["x"], r["y"])
+                for r in knobs.transcript]
+        assert rows == [
+            (0, 0.9670469933974603, 1.45, 0.0),
+            (1, 0.9982255543218727, -1.5548836947212232, 0.0103676786112896),
+            (2, 0.09385251308788647, 0.06924604083015717, 0.24716833503405536),
+            (3, 0.2067256086504888, -0.22866128730612267, 0.18070955265429153),
+            (4, 0.10132208655384846, -0.12120591859487705, 0.1929546921613331),
+            (5, 0.004622220826818263, -0.015929979547174622, 0.20550853092693233),
+            (6, 0.00024265381254707022, -0.020867858539072894, 0.20622176426187028),
+            (7, 1.2716370424197682e-05, -0.020608615056146768, 0.20618414573752583),
+            (8, 6.664746462874127e-07, -0.020622200797100466, 0.2061861169821584)]
+
+    def test_model_jacobian_off_by_two_converges(self):
+        """A model twice too steep with wrong off-diagonals takes the first
+        step (no forward-difference probes) and Broyden updates finish."""
+        a = np.array([[2.0, 1.0], [0.5, 3.0]])
+        b = np.array([1.0, 2.0])
+        model = 2.0 * a + np.array([[0.0, 1.5], [-1.0, 0.0]])
+        probes = []
+
+        def measure(k):
+            probes.append((k.x, k.y))
+            return a @ np.array([k.x, k.y]) - b
+
+        seen = []
+        knobs = run_newton(measure, jacobian=lambda k: model, check=seen.append)
+        assert np.allclose([knobs.x, knobs.y], np.linalg.solve(a, b), atol=1e-9)
+        assert len(seen) == 1 and np.array_equal(seen[0], model)
+        assert probes[1] == pytest.approx(np.linalg.solve(model, b), rel=1e-12)
+        assert len(probes) == knobs.iterations + 1
+
+    def test_model_zero_row_refreshes_instead_of_stalling(self):
+        """A zero model row (as a zero-J pair gives) leaves y untouched, so
+        the error cannot fall; that step retakes the Jacobian by forward
+        differences and the solve ends at the next step."""
+        probes = []
+
+        def measure(k):
+            probes.append((k.x, k.y))
+            return np.array([k.x - 1.0, k.y + 2.0])
+
+        knobs = run_newton(measure, jacobian=lambda k: np.diag([1.0, 0.0]))
+        assert (knobs.x, knobs.y) == pytest.approx((1.0, -2.0), abs=1e-9)
+        assert knobs.iterations == 2
+        assert [r["max_angle_error"] for r in knobs.transcript][:2] == [2.0, 2.0]
+        assert len(probes) == 3 + 2  # three iterations and one 2-column probe
+
+    def test_model_zero_row_with_coupled_equations_converges(self):
+        """A zero model row on a coupled linear map still converges."""
+        a = np.array([[2.0, 1.0], [0.5, 3.0]])
+        b = np.array([1.0, 2.0])
+        knobs = run_newton(lambda k: a @ np.array([k.x, k.y]) - b,
+                           jacobian=lambda k: np.array([[2.0, 1.0], [0.0, 0.0]]))
+        assert np.allclose([knobs.x, knobs.y], np.linalg.solve(a, b), atol=1e-9)

@@ -395,7 +395,13 @@ class TestZxCommand:
     (["zz", "--set", "couplings.0.endpoints=[0,2]"], "couplings[0].endpoints"),
     (["zz", "--set", "couplings.0.endpoints=[1,1]"], "couplings[0].endpoints"),
     (["zz", "--set", "drives.0.amplitude=-0.01"], "drives[0].amplitude"),
-    (["zz", "--set", "drives.1.target=2"], "drives[1].target")])
+    (["zz", "--set", "drives.1.target=2"], "drives[1].target"),
+    (["zz", "--set", "transmons.0.frequency=-1"], "transmons[0].frequency"),
+    (["zz", "--set", "transmons.1.anharmonicity=0"], "transmons[1].anharmonicity"),
+    (["zz", "--set", "couplings=" + json.dumps(
+        [{"kind": "direct", "endpoints": [0, 1], "strength": 0.007},
+         {"kind": "direct", "endpoints": [1, 0], "strength": 0.001}])],
+     "couplings[1].endpoints")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
