@@ -7,12 +7,12 @@ qubit 0's seed Stark shift and every nearest-neighbour ZZ of the full-chain
 spectrum, starting from the closed-form (single-drive Stark and SIZZLE ZZ)
 Jacobian and updating it by Broyden's secant rule, with forward differences
 only as the fallback when a step fails to lower the error.  The CNOT and CZ
-loops fit rotation angles from repeated-gate amplification trajectories
-(each distinct pulse propagated once, the gate repeated up to
-`GATE_REPETITIONS` = 17 times) and drive every angle below
-`ANGLE_TOLERANCE`.  Each gate has one pulse shape: sigma `GATE_SIGMA` = 10 ns,
-a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
-`result` is scored from the loops' own propagation of its pulse.
+loops read their rotation angles from the gate's operating-frame unitary
+(each distinct pulse propagated once; per control state the SU(2) logarithm
+of the target block, `pulse.conditional_rotations`) and drive every angle
+below `ANGLE_TOLERANCE`.  Each gate has one pulse shape: sigma `GATE_SIGMA` =
+10 ns, a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A
+calibration's `result` is scored from the loops' own propagation of its pulse.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import (CancellationUnreachableError, ConfigError,
                      InsufficientAmplitudeError, NonconvergenceError)
-from .operators import DriveTone, SystemSpec, bare_index, basis_label
+from .operators import DriveTone, SystemSpec
 from .perturbation import (PerturbativeInputs, seed_zx_rate, single_drive_stark,
                            sizzle_zz_induced)
 from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
-                    PulseSchedule, GateResult, _bloch_trajectory, _DriveTerm,
-                    _evolve, _fit_rotation, _frame_change_phases, propagate, score_unitary)
+                    PulseSchedule, GateResult, _DriveTerm, _evolve, _frame_change_phases,
+                    conditional_rotations, propagate, score_unitary)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -40,7 +40,6 @@ NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
 MAX_NEWTON_ITERATIONS = 50  # iteration cap of every Newton solve
-GATE_REPETITIONS = 17  # repetitions each amplification trajectory runs to
 GATE_SIGMA = 10.0  # Gaussian edge width of the gate pulses (ns)
 CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_SIGMA
 CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may reach
@@ -287,13 +286,13 @@ def chain_cancellation(chain: SystemSpec, nu_d: float,
 
 
 # ---------------------------------------------------------------------------
-# repeated-gate angle extraction
+# gate angle reads
 
 def _canonical_rotation(v: np.ndarray, desired: np.ndarray) -> np.ndarray:
     """Pick the rotation-vector representative closest to `desired`.
 
     Rotation vectors v and v (|v| - 2 pi)/|v| describe the same rotation;
-    near half-turn angles the fit may return either branch.
+    a read near a half turn may land on either branch.
     """
     norm = np.linalg.norm(v)
     if norm < 1e-12:
@@ -304,7 +303,7 @@ def _canonical_rotation(v: np.ndarray, desired: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RepeatedGate:
-    """Repeated-gate amplification of one (control, target) pair's gate."""
+    """Angle reads of one (control, target) pair's gate, from its unitary."""
 
     system: SystemSpec
     frame: OperatingFrame
@@ -340,11 +339,9 @@ class _RepeatedGate:
         return score_unitary(self.frame, self.unitary(schedule), schedule, *pair, target)
 
     def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
-        dims = self.frame.dims
         psi = np.zeros(self.frame.dim, dtype=complex)
-        i_lo = bare_index(basis_label(len(dims), {self.control: control_state}), dims)
-        i_hi = bare_index(
-            basis_label(len(dims), {self.control: control_state, self.target: 1}), dims)
+        comp = self.frame.computational_indices(self.control, self.target)
+        i_lo, i_hi = comp[2 * control_state:2 * control_state + 2]
         if target_axis == "z":
             psi[i_lo] = 1.0
         elif target_axis == "x":
@@ -353,50 +350,29 @@ class _RepeatedGate:
             raise ValueError(f"unknown prep axis {target_axis!r}")
         return psi
 
-    def _trajectory(self, u_op: np.ndarray, qubit: int, psi0: np.ndarray) -> np.ndarray:
-        states = [psi0]
-        for _ in range(GATE_REPETITIONS):
-            states.append(u_op @ states[-1])
-        return _bloch_trajectory(self.frame, qubit, states)
-
-    def _rotation(self, u_op: np.ndarray, control_state: int,
-                  desired: np.ndarray) -> np.ndarray:
-        """Per-gate target rotation vector (radians) for one control state.
-
-        Trajectories from a ground-state and an equator preparation are fit
-        jointly so the rotation azimuth stays observable at half-turn angles.
-        """
-        times = np.arange(GATE_REPETITIONS + 1, dtype=float)
-        trajs = [self._trajectory(u_op, self.target, self._prep(control_state, axis))
-                 for axis in ("z", "x")]
-        params, _ = _fit_rotation(times, *trajs)
-        return _canonical_rotation(TWO_PI * params, desired)
-
     def rotations(self, schedule: PulseSchedule, desired) -> list[np.ndarray]:
-        """Target rotation vectors per gate with the control in 0 and in 1,
-        each on the branch closest to its entry of `desired`."""
-        u_op = self.unitary(schedule)
-        return [self._rotation(u_op, state, goal) for state, goal in enumerate(desired)]
+        """Target rotation vectors (radians) per gate with the control in 0 and
+        in 1, read from the target block of the gate's unitary, each on the
+        branch closest to its entry of `desired`."""
+        reads = conditional_rotations(self.frame, self.unitary(schedule),
+                                      self.control, self.target)
+        return [_canonical_rotation(v, goal) for v, goal in zip(reads, desired)]
 
     def set_control_frame(self, cal, schedule, target_axis: str) -> None:
         """Null the control's z-phase per gate `schedule(cal)` by its frame change.
 
-        The phase is fit from an equator control preparation, with the
-        target along `target_axis` in an eigenstate of the conditional
-        operation (z for conditional phases, x for a conditional x flip) so
-        every repetition contributes and the phase is read over the full turn.
-        Each transcript row reports the fit's relative residual; no bound
-        applies to it.
+        The phase is read as arg<1,a|U|1,a> - arg<0,a|U|0,a>, with the
+        target state a along `target_axis` an eigenstate of the conditional
+        operation (z for conditional phases, x for a conditional x flip).
+        Each transcript row reports the phase read.
         """
-        psi = (self._prep(0, target_axis) + self._prep(1, target_axis)) / math.sqrt(2.0)
-        times = np.arange(GATE_REPETITIONS + 1, dtype=float)
+        preps = [self._prep(state, target_axis) for state in (0, 1)]
         for _ in range(4):
-            traj = self._trajectory(self.unitary(schedule(cal)), self.control, psi)
-            params, fit_residual = _fit_rotation(times, traj)
-            phase = TWO_PI * params[2]
+            u_op = self.unitary(schedule(cal))
+            stay0, stay1 = (np.vdot(psi, u_op @ psi) for psi in preps)
+            phase = float(np.angle(stay1 * np.conj(stay0)))
             cal.transcript.append({"iteration": "control-frame",
-                                   "control_phase_per_gate": phase,
-                                   "fit_residual": fit_residual})
+                                   "control_phase_per_gate": phase})
             if abs(phase) < ANGLE_TOLERANCE:
                 break
             # frame change exp(-i theta n) contributes -theta to the measured
@@ -508,8 +484,8 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     conditional rotation, stage 2 aligns the conditional axis along -x via
     the tone phase, stage 3 runs the fine loop (amplitudes, common phase,
     quadrature corrections, target frame change; all updates applied from
-    one batch of fits), and stage 4 sets the control frame change from the
-    control's phase accumulation over even gate repetitions.
+    one batch of angle reads), and stage 4 sets the control frame change
+    from the control's phase per gate.
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
     carrier = gate.frame.dressed_frequency(target)

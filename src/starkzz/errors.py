@@ -30,11 +30,8 @@ class StepSizeError(StarkZZError):
 
 
 class TomographyFitError(StarkZZError):
-    """Trajectory fit for Pauli-rate extraction failed to converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A Pauli-rate read cannot be trusted: its rotation angle is so near a
+    half turn that the logarithm's branch, and so the rates' sign, is ambiguous."""
 
 
 class InsufficientAmplitudeError(StarkZZError):

@@ -7,6 +7,9 @@ independent.  Gate results are reported in the operating frame rotating at
 each mode's dressed frequency, so an ideal idle is the identity and
 virtual-Z frame changes have their usual meaning.  Drive phases follow the
 exp(+i phi) raising-operator convention of the rest of the package.
+Rotation angles, the calibrations' and the Pauli rates', are read from a
+propagator's 2x2 blocks by an SU(2) logarithm (`rotation_vector`), not
+fit to trajectories.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 from .errors import StepSizeError, TomographyFitError
 from .operators import (SystemSpec, bare_index, basis_label, build_rwa_hamiltonian,
                         computational_labels, mode_operators)
-from .perturbation import seed_zx_rate
 from .spectrum import assign_labels
 
 TWO_PI = 2.0 * math.pi
@@ -246,11 +248,6 @@ class OperatingFrame:
         """Simulation-frame propagator to the operating frame, dressed basis."""
         u_dressed = self.basis.conj().T @ u_frame @ self.basis
         return self.operating_phases(t)[:, None] * u_dressed
-
-    def qubit_pairings(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs differing only by the qubit's 0/1 occupancy."""
-        idx0 = np.flatnonzero(self.occupations[qubit] == 0)
-        return idx0, idx0 + math.prod(self.dims[qubit + 1:])
 
 
 @dataclass
@@ -573,108 +570,62 @@ def score_unitary(frame: OperatingFrame, u_op: np.ndarray, schedule: PulseSchedu
 
 
 # ---------------------------------------------------------------------------
-# Pauli-rate extraction (Hamiltonian tomography analog)
+# Rotation reads and Pauli-rate extraction (Hamiltonian tomography analog)
 
-def _rotation_model(params, t, r0):
-    """Bloch vector under rotation at vector rate params (GHz) from r0."""
-    p = np.asarray(params, dtype=float)
-    omega = np.linalg.norm(p)
-    if omega < 1e-15:
-        return np.tile(np.asarray(r0, dtype=float), (len(t), 1))
-    axis = p / omega
-    angle = TWO_PI * omega * np.asarray(t)
-    cos_a = np.cos(angle)[:, None]
-    sin_a = np.sin(angle)[:, None]
-    r0 = np.asarray(r0, dtype=float)
-    parallel = axis * (axis @ r0)
-    perp = r0 - parallel
-    # written out: np.cross costs more than the rest of the model
-    cross = np.array([axis[1] * r0[2] - axis[2] * r0[1], axis[2] * r0[0] - axis[0] * r0[2],
-                      axis[0] * r0[1] - axis[1] * r0[0]])
-    return parallel + cos_a * perp + sin_a * cross
+def rotation_vector(block: np.ndarray) -> np.ndarray:
+    """Rotation vector (radians, Bloch x/y/z) of a 2x2 block, angle in [0, pi].
 
-
-def _rotation_seed(times, *trajectories):
-    """Per-step rotation vector of all trajectories jointly, by orthogonal
-    Procrustes (Schönemann, Psychometrika 31, 1 (1966)).
-
-    Every consecutive Bloch-vector pair of every trajectory shares one
-    rotation R when the generator is constant.  Below a quarter turn per
-    step the axis comes from the antisymmetric part R - R^T = 2 sin(a) [n]x;
-    beyond it from the symmetric part (R + R^T)/2 = cos(a) I + (1 - cos a) n n^T,
-    signed by the antisymmetric part, so the seed holds up to a half turn.
+    The block's polar part W, its nearest unitary (leakage only shrinks the
+    block), is divided by sqrt(det W) into SU(2), where
+    W = cos(a/2) I - i sin(a/2) n.sigma, and signed so cos(a/2) >= 0; the
+    rotation vector is a n.
     """
-    a = np.concatenate([traj[:-1] for traj in trajectories]).T
-    b = np.concatenate([traj[1:] for traj in trajectories]).T
-    u, _, vt = np.linalg.svd(b @ a.T)
-    d = np.sign(np.linalg.det(u @ vt))
-    rot = u @ np.diag([1.0, 1.0, d]) @ vt
-    cos_angle = np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0)
-    angle = math.acos(cos_angle)
-    axis = np.array([rot[2, 1] - rot[1, 2],
-                     rot[0, 2] - rot[2, 0],
-                     rot[1, 0] - rot[0, 1]])
-    if angle < 1e-9:
+    u, _, vh = np.linalg.svd(block)
+    w = u @ vh
+    w = w / np.sqrt(np.linalg.det(w))
+    cos_half = 0.5 * (w[0, 0] + w[1, 1]).real
+    sin_axis = 0.5 * np.array([-(w[0, 1] + w[1, 0]).imag, (w[1, 0] - w[0, 1]).real,
+                               (w[1, 1] - w[0, 0]).imag])
+    if cos_half < 0.0:
+        cos_half, sin_axis = -cos_half, -sin_axis
+    sin_half = float(np.linalg.norm(sin_axis))
+    if sin_half == 0.0:
         return np.zeros(3)
-    if cos_angle < 0.0:
-        outer = ((rot + rot.T) / 2.0 - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-        column = outer[:, np.argmax(np.diagonal(outer))]
-        axis = column if column @ axis >= 0.0 else -column
-    dt_step = times[1] - times[0]
-    return axis / np.linalg.norm(axis) * angle / (TWO_PI * dt_step)
+    return 2.0 * math.atan2(sin_half, cos_half) / sin_half * sin_axis
 
 
-def _fit_rotation(times, *trajectories):
-    """Least-squares single-axis-rotation fit of trajectories jointly.
-
-    Each trajectory starts from its own first Bloch vector; one
-    Levenberg-Marquardt solve runs from the joint Procrustes seed.
-    Returns the rotation vector (turns per unit time) and the residual
-    norm relative to the trajectories' norm.
-    """
-    def residual(params):
-        return np.concatenate([(_rotation_model(params, times, traj[0]) - traj).ravel()
-                               for traj in trajectories])
-
-    import scipy.optimize  # off start-up
-    sol = scipy.optimize.least_squares(residual, _rotation_seed(times, *trajectories),
-                                       method="lm", max_nfev=2000)
-    scale = max(1.0, np.linalg.norm(np.concatenate(trajectories)))
-    return sol.x, math.sqrt(2.0 * sol.cost) / scale
+def conditional_rotations(frame: OperatingFrame, u_op: np.ndarray, control: int,
+                          target: int) -> list[np.ndarray]:
+    """`rotation_vector` of the target block of an operating-frame unitary
+    with the control in 0 and in 1."""
+    comp = frame.computational_indices(control, target)
+    return [rotation_vector(u_op[np.ix_(pair, pair)]) for pair in (comp[:2], comp[2:])]
 
 
-def _bloch_trajectory(frame: OperatingFrame, qubit: int, amplitudes) -> np.ndarray:
-    """Bloch vectors of one qubit, one row per dressed-basis amplitude vector."""
-    idx0, idx1 = frame.qubit_pairings(qubit)
-    out = np.empty((len(amplitudes), 3))
-    for k, a in enumerate(amplitudes):
-        cross = np.vdot(a[idx0], a[idx1])  # sum conj(a0) a1
-        out[k, 0] = 2.0 * cross.real
-        out[k, 1] = 2.0 * cross.imag
-        out[k, 2] = float(np.sum(np.abs(a[idx0]) ** 2) - np.sum(np.abs(a[idx1]) ** 2))
-    return out
-
-
-#: Snapshots per tomography trajectory, over two periods of the dominant rate.
-TOMOGRAPHY_POINTS = 21
-#: Largest relative residual a tomography rotation fit may end at.
-MAX_REL_RESIDUAL = 0.05
+#: Read time (ns) of a tone at the frame frequency, whose Hamiltonian is
+#: constant and so has no period of its own.
+STATIC_READ_TIME = 10.0
+#: Largest angle (rad) a rate read may turn through: nearer a half turn the
+#: logarithm's branch, and so the sign of the rates, is ambiguous.
+MAX_READ_ANGLE = 0.9 * math.pi
 
 
 def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: float,
                         control: int, target: int, dt: float = DEFAULT_DT,
                         frame: OperatingFrame | None = None) -> dict[str, float]:
-    """Fit conditional target rotation rates under a constant entangling tone.
+    """Conditional target rotation rates under a constant entangling tone.
 
-    The target's Bloch trajectory is simulated with the control prepared in
-    its ground and excited dressed states, over a grid spanning two periods
-    of the dominant rate (estimated from up to three pilot passes), and each
-    trajectory is fit to a single-axis rotation.  Returns IX, IY, IZ, ZX, ZY
-    and ZZ in the conditional-Rabi convention of standard cross-resonance
-    tomography, H = (1/2) sum_P nu_P P; in this convention the tomographic
-    ZZ equals half the level-spacing (Ramsey) value used by the spectrum
-    module.  Raises TomographyFitError when a fit ends above
-    MAX_REL_RESIDUAL.
+    The tone's Hamiltonian repeats with period T = 1/|detuning| from the
+    frame frequency (Shirley, Phys. Rev. 138, B979 (1965)), or is constant
+    at zero detuning, where T is STATIC_READ_TIME.  The operating-frame
+    propagator over T is read once per control state, ground and excited:
+    the `rotation_vector` of its target block over 2 pi T is that state's
+    rotation rate (Magesan & Gambetta, Phys. Rev. A 101, 052308 (2020)).
+    Returns IX, IY, IZ, ZX, ZY and ZZ in the conditional-Rabi convention of
+    standard cross-resonance tomography, H = (1/2) sum_P nu_P P; in this
+    convention the tomographic ZZ equals half the level-spacing (Ramsey)
+    value used by the spectrum module.  Raises TomographyFitError when a
+    read turns through more than MAX_READ_ANGLE.
     """
     if frame is None:
         cw = system.drives
@@ -682,36 +633,19 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
     tone = _DriveTerm(target=control, start=0.0, envelope=None,
                       amplitude=cr_amplitude, phase=0.0,
                       detuning=cr_frequency - frame.frame_frequency)
+    period = 1.0 / abs(tone.detuning) if tone.detuning else STATIC_READ_TIME
+    u_frame, _ = _evolve(frame, [tone], [], period, dt)
+    u_op = frame.to_operating(u_frame, period)
 
-    # Pilot rate guess from the perturbative conditional rate plus a floor.
-    rate_guess = max(seed_zx_rate(system, control, target, cr_amplitude), 2e-4)
-
-    preps = [bare_index(basis_label(len(frame.dims), {control: s}), frame.dims)
-             for s in (0, 1)]
-
-    for _ in range(3):
-        t_max = 2.0 / rate_guess
-        times = np.linspace(0.0, t_max, TOMOGRAPHY_POINTS)
-        _, snaps = _evolve(frame, [tone], [], t_max, dt, snapshot_times=times)
-        prepared = [frame.to_operating(u, t)[:, preps] for u, t in zip(snaps, times)]
-        fitted, residuals = [], []
-        for k in range(2):
-            traj = _bloch_trajectory(frame, target, [cols[:, k] for cols in prepared])
-            params, rel = _fit_rotation(times, traj)
-            fitted.append(params)
-            residuals.append(rel)
-        dominant = max(np.linalg.norm(p) for p in fitted)
-        if rate_guess / 3.0 < dominant < 3.0 * rate_guess:
-            break
-        rate_guess = max(dominant, 2e-4)
-
-    worst = max(residuals)
-    if worst > MAX_REL_RESIDUAL:
-        raise TomographyFitError(
-            f"rotation-model fit residual {worst:.3g} exceeds {MAX_REL_RESIDUAL}",
-            residual=worst)
-
-    p0, p1 = fitted
+    reads = conditional_rotations(frame, u_op, control, target)
+    for state, vector in enumerate(reads):
+        angle = float(np.linalg.norm(vector))
+        if angle > MAX_READ_ANGLE:
+            raise TomographyFitError(
+                f"control state {state}: the target turns {angle:.3g} rad in one "
+                f"{period:.3g} ns read, past {MAX_READ_ANGLE:.3g} rad, where the "
+                "rotation's branch is ambiguous")
+    p0, p1 = (vector / (TWO_PI * period) for vector in reads)
     rates: dict[str, float] = {}
     for k, axis in enumerate("XYZ"):
         rates[f"I{axis}"] = float(0.5 * (p0[k] + p1[k]))

@@ -407,18 +407,19 @@ def trial_cz():
 
 
 class TestControlFrame:
-    def test_rows_report_fit_residual(self, preset_a, monkeypatch):
-        """Each control-frame transcript row carries the relative residual
-        of the rotation fit it was read from."""
-        fits = []
-        fit = calibrate._fit_rotation
-        monkeypatch.setattr(calibrate, "_fit_rotation",
-                            lambda *a: fits.append(fit(*a)) or fits[-1])
+    def test_ends_with_read_below_tolerance(self, preset_a):
+        """The control phase is read from the unitary, so one frame change
+        nulls it: the first row reads the phase the frame change then takes,
+        the last reads below ANGLE_TOLERANCE."""
         cal = trial_cz()
         gate_of(preset_a).set_control_frame(cal, calibrated_cz_schedule, "z")
-        rows = [r for r in cal.transcript if r["iteration"] == "control-frame"]
-        assert len(rows) == len(fits) >= 2
-        assert [r["fit_residual"] for r in rows] == [residual for _, residual in fits]
+        phases = [r["control_phase_per_gate"] for r in cal.transcript
+                  if r["iteration"] == "control-frame"]
+        assert len(phases) == 2
+        assert abs(phases[0]) > calibrate.ANGLE_TOLERANCE
+        assert cal.control_frame_change == pytest.approx(phases[0])
+        assert abs(phases[-1]) < calibrate.ANGLE_TOLERANCE
+        assert sorted(cal.transcript[-1]) == ["control_phase_per_gate", "iteration"]
 
 
 class TestRepeatedGateMemo:

@@ -522,6 +522,21 @@ class TestCalibrateCommand:
         assert "insensitive to the gate amplitude" in capsys.readouterr().err
 
 
+def loads_scipy_optimize(commands, tmp_path, prelude="") -> bool:
+    """Whether a fresh process that runs `prelude` and then each CLI
+    argument list (with --out into tmp_path) imports scipy.optimize."""
+    runs = "".join(
+        f"assert starkzz.cli.main({[*argv, '--out', str(tmp_path / name)]!r}) == 0\n"
+        for name, argv in commands)
+    script = ("import sys\nimport starkzz.cli\n" + prelude + runs
+              + "print('scipy.optimize' in sys.modules)\n")
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+                          check=True)
+    return done.stdout.splitlines()[-1] == "True"
+
+
 def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
     """Importing the CLI, fitting device-a's bare parameters and running
     `zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`
@@ -530,24 +545,25 @@ def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
     cut = [f"{key}={json.dumps(value)}" for key, value in (
         ("transmons", doc["transmons"][:3]),
         ("couplings", [c for c in doc["couplings"] if max(c["endpoints"]) < 3]))]
-    script = f"""
-import sys
-import starkzz.cli
-from starkzz.config import load_preset, to_system
-to_system(load_preset("device-a"))
-out = {str(tmp_path)!r}
-assert starkzz.cli.main(["zz", "--preset", "device-a", "--out", out + "/zz.json"]) == 0
-assert starkzz.cli.main(["sweep", "--preset", "device-a", "--out", out + "/phase.csv",
-                         "--axis", "drives.phase_difference:0:6.283185307179586:41"]) == 0
-assert starkzz.cli.main(["calibrate", "chain", "--preset", "device-b-chain",
-                         "--set", {cut[0]!r}, "--set", {cut[1]!r},
-                         "--out", out + "/chain.json"]) == 0
-assert starkzz.cli.main(["calibrate", "cancel", "--preset", "device-b-pair",
-                         "--out", out + "/cancel.json"]) == 0
-print("scipy.optimize" in sys.modules)
-"""
-    src = pathlib.Path(cli.__file__).parents[1]
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-                          check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    prelude = ("from starkzz.config import load_preset, to_system\n"
+               "to_system(load_preset('device-a'))\n")
+    assert not loads_scipy_optimize([
+        ("zz.json", ["zz", "--preset", "device-a"]),
+        ("phase.csv", ["sweep", "--preset", "device-a",
+                       "--axis", "drives.phase_difference:0:6.283185307179586:41"]),
+        ("chain.json", ["calibrate", "chain", "--preset", "device-b-chain",
+                        "--set", cut[0], "--set", cut[1]]),
+        ("cancel.json", ["calibrate", "cancel", "--preset", "device-b-pair"]),
+    ], tmp_path, prelude)
+
+
+def test_gates_and_zx_leave_scipy_optimize_unloaded(tmp_path):
+    """Gate angles and Pauli rates are read from the propagator, so the
+    seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them,
+    import no optimizer."""
+    assert not loads_scipy_optimize([
+        ("cnot.json", ["calibrate", "cnot", "--preset", "device-a", "--duration", "90"]),
+        ("cz.json", ["calibrate", "cz", "--preset", "device-a", "--duration", "200",
+                     "--gate-frequency", "4.9", "--gate-amplitude", "0.026"]),
+        ("zx.csv", ["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2"]),
+    ], tmp_path)

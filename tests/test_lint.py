@@ -53,3 +53,44 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def optimizer_imports(source: str) -> list[str]:
+    """The function (`<module>` at top level) holding each import of
+    scipy.optimize or of a name from it in `source`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""] + [f"{child.module}.{alias.name}"
+                                                  for alias in child.names]
+            else:
+                modules = []
+            if any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_optimizer_checker_names_the_importing_function():
+    source = ("import scipy.linalg\nfrom scipy import optimize\n"
+              "def f():\n    import scipy.optimize\n"
+              "class C:\n    def g(self):\n        from scipy.optimize import root\n")
+    assert optimizer_imports(source) == ["<module>", "f", "g"]
+
+
+def test_scipy_optimize_only_in_assign_labels():
+    """The package imports scipy.optimize in one place, the non-bijective
+    branch of `spectrum.assign_labels`; every gate angle, rate and
+    calibration is solved without it."""
+    found = [f"{path.stem}.{owner}" for path in sorted((ROOT / "src" / "starkzz").glob("*.py"))
+             for owner in optimizer_imports(path.read_text())]
+    assert found == ["spectrum.assign_labels"]
