@@ -28,8 +28,8 @@ from .operators import DriveTone, SystemSpec
 from .perturbation import (PerturbativeInputs, seed_zx_rate, single_drive_stark,
                            sizzle_zz_induced)
 from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
-                    PulseSchedule, GateResult, _DriveTerm, _evolve, _frame_change_phases,
-                    conditional_rotations, propagate, score_unitary)
+                    PulseSchedule, GateResult, _frame_change_phases, conditional_rotations,
+                    period_propagator, propagate, score_unitary)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -396,15 +396,15 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
     unless converged, moves
     `get_params(cal)` by the least-squares Newton step of a forward-
     difference Jacobian (one `steps` entry per parameter).  The Jacobian is
-    taken at the first iteration and again whenever the error grows after
-    a full step; a step after an error growth is halved.
+    taken at the first iteration and again whenever a full step fails to
+    lower the error; a step after an error growth is halved.
 
     A model `jacobian(cal)`, when given, replaces the first forward-
     difference Jacobian; every later step that keeps it applies Broyden's
     rank-one secant update J += (dr - J dp) dp^T / (dp^T dp) for the last
-    step dp and residual change dr, and a full step that fails to lower the
-    error (not only one that raises it) retakes it by forward differences,
-    so a model row that misses a dependence cannot stall the solve.
+    step dp and residual change dr.  A model row that misses a dependence
+    cannot stall the solve: the first full step that fails retakes the
+    Jacobian by forward differences.
 
     `cap(cal)`, when given, bounds each parameter's update, and
     `check(jac)` may reject each new (model or forward-difference)
@@ -422,8 +422,7 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
             cal.iterations = iteration
             return
         p0 = get_params(cal)
-        stalled = err >= previous if jacobian is not None else err > previous
-        if jac is None or (stalled and damping == 1.0):
+        if jac is None or (err >= previous and damping == 1.0):
             if jac is None and jacobian is not None:
                 jac = jacobian(cal)
             else:
@@ -591,29 +590,25 @@ def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
                    frame: OperatingFrame | None = None) -> float:
     """Time-domain conditional-phase rate of the (q0, q1) pair (GHz).
 
-    Propagates the CW-dressed system with the extra tones held at constant
-    amplitude and reads the computational diagonal phases at two times,
-    resolving the short-time slope.  Used where mixed tone frequencies make
-    the single-frame spectrum unavailable.  `frame` defaults to the
-    system's own `OperatingFrame`.
+    The CW-dressed system with the extra tones held at constant amplitude
+    repeats with the tones' period T (`period_propagator`); the computational
+    diagonal phases of U_T^m and U_T^2m, m = max(1, round(duration / 2T)),
+    give the slope over the whole periods nearest `duration`.  Used where
+    mixed tone frequencies make the single-frame spectrum unavailable.
+    `frame` defaults to the system's own `OperatingFrame`.
     """
     if frame is None:
         frame = OperatingFrame(system)
-    terms = [_DriveTerm(target=t.target, start=0.0, envelope=None,
-                        amplitude=t.amplitude, phase=t.phase,
-                        detuning=t.frequency - frame.frame_frequency)
-             for t in extra_tones]
+    u_period, period = period_propagator(
+        frame, [(t.target, t.amplitude, t.frequency, t.phase) for t in extra_tones], dt)
+    m = max(1, round(duration / (2.0 * period)))
     comp = frame.computational_indices(q0, q1)
-    times = (0.5 * duration, duration)
-    _, snaps = _evolve(frame, terms, [], duration, dt, snapshot_times=times)
-    phases = []
-    for u_frame, t in zip(snaps, times):
-        u_op = frame.to_operating(u_frame, t)
-        diag = np.array([u_op[i, i] for i in comp])
-        phases.append(float(np.angle(diag[0] * diag[3] * np.conj(diag[1] * diag[2]))))
-    # unwrap with the half-duration sample
-    delta = _wrap_angle(phases[1] - phases[0])
-    return -(delta / (TWO_PI * 0.5 * duration))
+    u_half = np.linalg.matrix_power(u_period, m)
+    diags = [frame.to_operating(u, t)[comp, comp]
+             for u, t in ((u_half, m * period), (u_half @ u_half, 2 * m * period))]
+    early, late = (float(np.angle(d[0] * d[3] * np.conj(d[1] * d[2]))) for d in diags)
+    # unwrap with the half-window read
+    return -(_wrap_angle(late - early) / (TWO_PI * m * period))
 
 
 def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,

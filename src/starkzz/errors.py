@@ -30,8 +30,9 @@ class StepSizeError(StarkZZError):
 
 
 class TomographyFitError(StarkZZError):
-    """A Pauli-rate read cannot be trusted: its rotation angle is so near a
-    half turn that the logarithm's branch, and so the rates' sign, is ambiguous."""
+    """A whole-period read cannot be made or trusted: the tones' period is past
+    the read bound, or a rotation angle is so near a half turn that the
+    logarithm's branch, and so the rates' sign, is ambiguous."""
 
 
 class InsufficientAmplitudeError(StarkZZError):

@@ -372,41 +372,39 @@ def _step_exponentials(hams: np.ndarray, h: float, work: np.ndarray) -> np.ndarr
 
 
 def _cf4_steps(frame: OperatingFrame, active, t0: float, span: float,
-               dt: float, u: np.ndarray, work: np.ndarray,
-               within=()) -> tuple[np.ndarray, list]:
+               dt: float, u: np.ndarray, work: np.ndarray, within=None):
     """Apply fourth-order commutator-free Magnus (CF4) steps of at most dt
     over [t0, t0 + span] to u, the step stacks in the workspace `work`.
 
-    Returns u and, at each offset in `within` (in [0, span]), u after the
-    whole steps before that offset and one CF4 step over the rest.
+    Returns u and, at the offset `within` (in [0, span]) when one is given,
+    u after the whole steps before it and one CF4 step over the rest.
     """
     n_steps = max(1, math.ceil(span / dt - 1e-9))
     h = span / n_steps
-    ks = np.minimum(np.asarray(within) // h, n_steps).astype(int)
-    keep = set(ks.tolist())
-    kept = {0: u}
+    k = None if within is None else int(min(within // h, n_steps))
+    kept = u
     for first in range(0, n_steps, STEP_CHUNK):
         last = min(n_steps, first + STEP_CHUNK)
         starts = t0 + np.arange(first, last) * h
         hams = _cf4_generators(frame, active, starts, h, work[0])
         factors = _step_exponentials(hams, h / 2.0, work)
-        cuts = sorted(k - first for k in keep if first < k < last)
+        cuts = [k - first] if k is not None and first < k < last else []
         for a, b in zip([0, *cuts], [*cuts, last - first]):
             u = _ordered_product(factors[2 * a:2 * b]) @ u
-            if first + b in keep:
-                kept[first + b] = u
-    deltas, rests = within - ks * h, []
-    for part in (slice(i, i + STEP_CHUNK) for i in range(0, len(ks), STEP_CHUNK)):
-        generators = _cf4_generators(frame, active, t0 + ks[part] * h, deltas[part], work[0])
-        # exp(-2 pi i (delta/2) G) for both factors of each rest step
-        generators *= np.repeat(deltas[part], 2)[:, None, None]
-        factors = _step_exponentials(generators, 0.5, work)
-        rests.extend(factors[1::2] @ factors[0::2])
-    return u, [rest @ kept[k] for rest, k in zip(rests, ks)]
+            if first + b == k:
+                kept = u
+    if k is None:
+        return u, None
+    delta = within - k * h
+    generators = _cf4_generators(frame, active, [t0 + k * h], delta, work[0])
+    # exp(-2 pi i (delta/2) G) for both factors of the rest step
+    generators *= delta
+    factors = _step_exponentials(generators, 0.5, work)
+    return u, factors[1] @ factors[0] @ kept
 
 
-def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: float,
-            snapshot_times=()):
+def _evolve(frame: OperatingFrame, drive_terms, events, duration: float,
+            dt: float) -> np.ndarray:
     """Propagate the frame Hamiltonian through drive terms and events.
 
     `events` are (time, unitary) insertions applied between intervals in
@@ -418,11 +416,9 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
       one detuning, so the Hamiltonian repeats with period T = 1/|detuning|
       (Shirley, Phys. Rev. 138, B979 (1965)), or with T = dt when it is
       constant (no active term, or all at zero detuning).  Over at least
-      two periods, one period is stepped once and each snapshot or end
-      t_a + m T + r is U(t_a + r, t_a) U_T^m from its prefix products, so
-      snapshots do not split the stretch;
-    - otherwise the interval is split at its snapshots and each piece takes
-      steps of at most `dt`.
+      two periods, one period is stepped once and the interval
+      t_b - t_a = m T + r is U(t_a + r, t_a) U_T^m;
+    - otherwise the interval takes steps of at most `dt`.
 
     Every step, a period's too, is one fourth-order commutator-free Magnus
     (CF4) step: two exponentials of Hamiltonian combinations at the
@@ -430,15 +426,13 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     exponentials of STEP_CHUNK steps are taken as one stack by
     `_step_exponentials` (batched matmuls, no `eigh`) and multiplied in
     order by a pairwise product, all in one workspace per propagation.
-    Returns U(duration) and the snapshots, the propagators at the requested times.
+    Returns U(duration).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     dim = frame.dim
     u = np.eye(dim, dtype=complex)
     work = np.empty((6, 2 * STEP_CHUNK, dim, dim), dtype=complex)
-    snapshots = []
-    snap_times = sorted(float(t) for t in snapshot_times)
 
     breakpoints = {0.0, duration}
     breakpoints.update(t for t, _ in events)
@@ -453,21 +447,11 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
 
     events = sorted(events, key=lambda ev: ev[0])
     ev_pos = 0
-    snap_pos = 0
-
-    def record_snapshots(now):
-        nonlocal snap_pos
-        while snap_pos < len(snap_times) and abs(snap_times[snap_pos] - now) < 1e-9:
-            snapshots.append(u.copy())
-            snap_pos += 1
-
-    record_snapshots(0.0)
     while ev_pos < len(events) and events[ev_pos][0] <= 1e-12:
         u = events[ev_pos][1] @ u
         ev_pos += 1
 
     for t_a, t_b in zip(grid[:-1], grid[1:]):
-        stops = [t for t in snap_times if t_a + 1e-9 < t < t_b - 1e-9] + [t_b]
         active = [term for term in drive_terms if term.active_in(t_a, t_b)]
         detunings = {term.detuning for term in active} or {0.0}
         period = math.inf
@@ -475,18 +459,12 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
             detuning = detunings.pop()
             period = 1.0 / abs(detuning) if detuning else dt
         if t_b - t_a >= 2.0 * period:
-            periods, rests = np.divmod(np.asarray(stops) - t_a, period)
-            u_period, within = _cf4_steps(frame, active, t_a, period, dt,
-                                          np.eye(dim, dtype=complex), work, rests)
-            start = u
-            for stop, m, u_rest in zip(stops, periods.astype(int), within):
-                u = u_rest @ (np.linalg.matrix_power(u_period, m) @ start)
-                record_snapshots(stop)
-        else:
-            for s_a, s_b in zip([t_a, *stops], stops):
-                if s_b - s_a > 1e-12:
-                    u, _ = _cf4_steps(frame, active, s_a, s_b - s_a, dt, u, work)
-                record_snapshots(s_b)
+            periods, rest = np.divmod(t_b - t_a, period)
+            u_period, u_rest = _cf4_steps(frame, active, t_a, period, dt,
+                                          np.eye(dim, dtype=complex), work, rest)
+            u = u_rest @ (np.linalg.matrix_power(u_period, int(periods)) @ u)
+        elif t_b - t_a > 1e-12:
+            u, _ = _cf4_steps(frame, active, t_a, t_b - t_a, dt, u, work)
         while ev_pos < len(events) and events[ev_pos][0] <= t_b + 1e-12:
             u = events[ev_pos][1] @ u
             ev_pos += 1
@@ -495,7 +473,7 @@ def _evolve(frame: OperatingFrame, drive_terms, events, duration: float, dt: flo
     if defect > UNITARITY_TOL:
         raise StepSizeError(f"unitarity drift {defect:.2e} exceeds {UNITARITY_TOL}; "
                             "reduce dt")
-    return u, snapshots
+    return u
 
 
 def _schedule_drive_terms(frame: OperatingFrame, schedule: PulseSchedule):
@@ -552,7 +530,7 @@ def propagate(system: SystemSpec, schedule: PulseSchedule, dt: float = DEFAULT_D
     if frame is None:
         frame = OperatingFrame(system, default_frame_frequency(system, schedule))
     terms, events, duration = _schedule_drive_terms(frame, schedule)
-    u_frame, _ = _evolve(frame, terms, events, duration, dt)
+    u_frame = _evolve(frame, terms, events, duration, dt)
     u_op = frame.to_operating(u_frame, duration)
     return score_unitary(frame, u_op, schedule, q0, q1, target)
 
@@ -605,9 +583,37 @@ def conditional_rotations(frame: OperatingFrame, u_op: np.ndarray, control: int,
 #: Read time (ns) of a tone at the frame frequency, whose Hamiltonian is
 #: constant and so has no period of its own.
 STATIC_READ_TIME = 10.0
+#: Longest period (ns) a read may step (4000 steps at DEFAULT_DT): the
+#: cost of a read grows as 1/|detuning|.
+MAX_READ_PERIOD = 1000.0
 #: Largest angle (rad) a rate read may turn through: nearer a half turn the
 #: logarithm's branch, and so the sign of the rates, is ambiguous.
 MAX_READ_ANGLE = 0.9 * math.pi
+
+
+def period_propagator(frame: OperatingFrame, tones, dt: float = DEFAULT_DT):
+    """Simulation-frame propagator U_T over one period of constant tones, and T.
+
+    `tones` are (target, amplitude, frequency, phase) tuples, the amplitude
+    signed, all at one frequency: their Hamiltonian repeats with period
+    T = 1/|detuning| from the frame frequency (Shirley, Phys. Rev. 138, B979
+    (1965)), or is constant at zero detuning, where T is STATIC_READ_TIME.
+    Raises ValueError for tones at more than one frequency and
+    TomographyFitError, before any step, for T past MAX_READ_PERIOD.
+    """
+    terms = [_DriveTerm(target=target, start=0.0, envelope=None, amplitude=amplitude,
+                        detuning=frequency - frame.frame_frequency, phase=phase)
+             for target, amplitude, frequency, phase in tones]
+    detunings = {term.detuning for term in terms} or {0.0}
+    if len(detunings) > 1:
+        raise ValueError(f"tones at {len(detunings)} frequencies have no common period")
+    detuning = detunings.pop()
+    period = 1.0 / abs(detuning) if detuning else STATIC_READ_TIME
+    if period > MAX_READ_PERIOD:
+        raise TomographyFitError(
+            f"a tone {detuning:.3g} GHz from the {frame.frame_frequency:.6g} GHz frame "
+            f"repeats every {period:.4g} ns, past the {MAX_READ_PERIOD:g} ns read bound")
+    return _evolve(frame, terms, [], period, dt), period
 
 
 def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: float,
@@ -615,26 +621,22 @@ def extract_pauli_rates(system: SystemSpec, cr_amplitude: float, cr_frequency: f
                         frame: OperatingFrame | None = None) -> dict[str, float]:
     """Conditional target rotation rates under a constant entangling tone.
 
-    The tone's Hamiltonian repeats with period T = 1/|detuning| from the
-    frame frequency (Shirley, Phys. Rev. 138, B979 (1965)), or is constant
-    at zero detuning, where T is STATIC_READ_TIME.  The operating-frame
-    propagator over T is read once per control state, ground and excited:
-    the `rotation_vector` of its target block over 2 pi T is that state's
-    rotation rate (Magesan & Gambetta, Phys. Rev. A 101, 052308 (2020)).
-    Returns IX, IY, IZ, ZX, ZY and ZZ in the conditional-Rabi convention of
-    standard cross-resonance tomography, H = (1/2) sum_P nu_P P; in this
-    convention the tomographic ZZ equals half the level-spacing (Ramsey)
-    value used by the spectrum module.  Raises TomographyFitError when a
-    read turns through more than MAX_READ_ANGLE.
+    The operating-frame propagator over one period T of the tone
+    (`period_propagator`) is read once per control state, ground and
+    excited: the `rotation_vector` of its target block over 2 pi T is that
+    state's rotation rate (Magesan & Gambetta, Phys. Rev. A 101, 052308
+    (2020)).  Returns IX, IY, IZ, ZX, ZY and ZZ in the conditional-Rabi
+    convention of standard cross-resonance tomography,
+    H = (1/2) sum_P nu_P P; in this convention the tomographic ZZ equals
+    half the level-spacing (Ramsey) value used by the spectrum module.
+    Raises TomographyFitError when T is past MAX_READ_PERIOD or a read turns
+    through more than MAX_READ_ANGLE.
     """
     if frame is None:
         cw = system.drives
         frame = OperatingFrame(system, cw[0].frequency if cw else cr_frequency)
-    tone = _DriveTerm(target=control, start=0.0, envelope=None,
-                      amplitude=cr_amplitude, phase=0.0,
-                      detuning=cr_frequency - frame.frame_frequency)
-    period = 1.0 / abs(tone.detuning) if tone.detuning else STATIC_READ_TIME
-    u_frame, _ = _evolve(frame, [tone], [], period, dt)
+    u_frame, period = period_propagator(
+        frame, [(control, cr_amplitude, cr_frequency, 0.0)], dt)
     u_op = frame.to_operating(u_frame, period)
 
     reads = conditional_rotations(frame, u_op, control, target)

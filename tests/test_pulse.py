@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starkzz.calibrate import _canonical_rotation
+from starkzz.calibrate import _canonical_rotation, driven_zz_rate
 from starkzz.config import load_preset, to_system
 from starkzz.errors import TomographyFitError
 from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec, basis_label,
@@ -373,108 +373,64 @@ class TestStepping:
         assert (20.0 / 0.05) % STEP_CHUNK != 0
         assert TWO_PI * np.abs(frame.h_static).sum(axis=0).max() > 2 * TAYLOR_THETA
         calls = count_eigh(monkeypatch)
-        stepped = {dt: _evolve(frame, [term], [], 40.0, dt)[0] for dt in (0.05, 1.0)}
+        stepped = {dt: _evolve(frame, [term], [], 40.0, dt) for dt in (0.05, 1.0)}
         assert calls == []
         for dt, u in stepped.items():
             oracle = sequential_run(frame, [term], [20.0, 40.0], dt)[-1]
             assert np.linalg.norm(u - oracle) < 1e-12
 
     def test_periodic_tone_matches_loop(self, qutrit_pair_frame, monkeypatch):
-        """A constant detuned tone over 50 periods, with a snapshot in the
-        middle of a period: both stops fall in a partial period.  The
-        result agrees with the stepwise oracle within the oracle's own
-        step error, from one period stepped once for the whole stretch."""
+        """A constant detuned tone run to two ends, one after about 12 periods
+        and one after 50, each inside a period.  Each end agrees with the
+        stepwise oracle within the oracle's own step error, each from one
+        period stepped once for its whole stretch."""
         frame = qutrit_pair_frame
         tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
                           detuning=-0.0937, phase=0.4)
         stops = [123.45, 537.3]
         assert 537.3 * 0.0937 > 50
         calls = count_step_stacks(monkeypatch)
-        u, snaps = _evolve(frame, [tone], [], stops[-1], 0.05, snapshot_times=stops)
-        assert len(calls) < 40  # stepwise: 10746 steps in 336 chunks
+        ends = [_evolve(frame, [tone], [], stop, 0.05) for stop in stops]
+        assert len(calls) < 40  # stepwise: 2469 + 10746 steps in 414 chunks
         oracle = sequential_run(frame, [tone], stops, 0.05)
         fine = sequential_run(frame, [tone], stops, 0.025)
-        assert np.array_equal(u, snaps[-1])
-        for got, coarse, ref in zip(snaps, oracle, fine):
+        for got, coarse, ref in zip(ends, oracle, fine):
             step_error = np.linalg.norm(coarse - ref)
             assert np.linalg.norm(got - coarse) < step_error
 
-    def test_snapshots_do_not_split_periodic_stretch(self, qutrit_pair_frame,
-                                                     monkeypatch):
-        """21 snapshots over about 30 periods, as the tomography takes them:
-        the period is stepped once, the snapshots add one stack of short
-        steps, and each snapshot is within the oracle's own step error."""
-        frame = qutrit_pair_frame
-        tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
-                          detuning=-0.0937, phase=0.4)
-        times = np.linspace(0.0, 30.3 / 0.0937, 21)
-        calls = count_step_stacks(monkeypatch)
-        u, snaps = _evolve(frame, [tone], [], times[-1], 0.05, snapshot_times=times)
-        n_period = math.ceil(1.0 / 0.0937 / 0.05)
-        assert len(calls) <= math.ceil(n_period / STEP_CHUNK) + 21 + 2
-        oracle = sequential_run(frame, [tone], times[1:], 0.05)
-        fine = sequential_run(frame, [tone], times[1:], 0.025)
-        assert len(snaps) == 21 and np.array_equal(u, snaps[-1])
-        assert np.array_equal(snaps[0], np.eye(frame.dim))
-        for got, coarse, ref in zip(snaps[1:], oracle, fine):
-            assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
-
-    def test_more_snapshots_than_workspace_rows(self, qutrit_pair_frame, monkeypatch):
-        """40 snapshots in one periodic stretch: the 39 after t = 0 need
-        more rest steps than the workspace holds (STEP_CHUNK), so the rest
-        stack is taken in two chunks, and each snapshot is within the
-        oracle's own step error."""
-        frame = qutrit_pair_frame
-        tone = _DriveTerm(target=1, start=0.0, envelope=None, amplitude=0.03,
-                          detuning=-0.0937, phase=0.4)
-        times = np.linspace(0.0, 30.3 / 0.0937, 40)
-        assert len(times) > STEP_CHUNK
-        calls = count_step_stacks(monkeypatch)
-        u, snaps = _evolve(frame, [tone], [], times[-1], 0.05, snapshot_times=times)
-        assert [shape[0] for shape in calls[-2:]] == [2 * STEP_CHUNK, 2 * (39 - STEP_CHUNK)]
-        oracle = sequential_run(frame, [tone], times[1:], 0.05)
-        fine = sequential_run(frame, [tone], times[1:], 0.025)
-        assert len(snaps) == 40 and np.array_equal(u, snaps[-1])
-        assert np.array_equal(snaps[0], np.eye(frame.dim))
-        for got, coarse, ref in zip(snaps[1:], oracle, fine):
-            assert np.linalg.norm(got - coarse) < np.linalg.norm(coarse - ref)
-
     def test_snapshots_split_shaped_and_idle_stretches(self, qutrit_pair_frame):
-        """Inside the rise and fall of a shaped-only Play snapshots split the
-        steps and match the oracle stepped between the same stops.  The idle
-        before and after the Play is a constant stretch: it is not split,
-        and its snapshots, from powers of one dt step, match the oracle too."""
+        """Runs that end inside the rise and the fall of a shaped-only Play
+        match the oracle stepped between the same breakpoints.  The idle
+        before and after the Play is a constant stretch: runs that end in
+        it, from powers of one dt step, match the oracle too."""
         frame = qutrit_pair_frame
         env = Envelope(0.03, 40.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
-        snap_times = [3.0, 15.0, 33.0, 49.0]
-        _, snaps = _evolve(frame, [play], [], 50.0, 0.05, snapshot_times=snap_times)
         stops = [3.0, 7.5, 15.0, 27.5, 33.0, 47.5, 49.0]
         oracle = dict(zip(stops, sequential_run(frame, [play], stops, 0.05)))
-        assert len(snaps) == len(snap_times)
-        for t, got in zip(snap_times, snaps):
+        for t in (3.0, 15.0, 33.0, 49.0):
+            got = _evolve(frame, [play], [], t, 0.05)
             assert np.linalg.norm(got - oracle[t]) < 1e-12
 
     def test_constant_stretches_without_eigh(self, qutrit_pair_frame, monkeypatch):
         """Idle stretches and the flat top of a zero-detuning Play are
         constant Hamiltonians, stepped as periodic stretches of period dt:
-        no `eigh`, and every snapshot matches the stepwise oracle."""
+        no `eigh`, and runs that end in them match the stepwise oracle."""
         frame = qutrit_pair_frame
         env = Envelope(0.03, 60.0,
                        10.0, 2.0, drag_beta=0.8, skew_gamma=0.3)
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0, phase=0.4)
-        snap_times = [3.0, 33.0, 40.0, 70.0]
+        ends = [3.0, 33.0, 40.0, 70.0, 80.0]
         calls = count_eigh(monkeypatch)
-        u, snaps = _evolve(frame, [play], [], 80.0, 0.05, snapshot_times=snap_times)
+        got = [_evolve(frame, [play], [], t, 0.05) for t in ends]
         assert calls == []
         stops = [3.0, 7.5, 27.5, 33.0, 40.0, 47.5, 67.5, 70.0, 80.0]
         oracle = dict(zip(stops, sequential_run(frame, [play], stops, 0.05)))
-        assert len(snaps) == len(snap_times)
-        for t, got in zip([*snap_times, 80.0], [*snaps, u]):
-            assert np.linalg.norm(got - oracle[t]) < 1e-12
+        for t, u in zip(ends, got):
+            assert np.linalg.norm(u - oracle[t]) < 1e-12
 
     def test_flat_top_play_matches_loop(self, qutrit_pair_frame, monkeypatch):
         """A detuned flat-top Play whose flat middle spans 20 periods."""
@@ -484,7 +440,7 @@ class TestStepping:
         play = _DriveTerm(target=0, start=7.5, envelope=env, amplitude=0.03,
                           detuning=0.0937, phase=0.4)
         calls = count_step_stacks(monkeypatch)
-        u, _ = _evolve(frame, [play], [], 270.0, 0.05)
+        u = _evolve(frame, [play], [], 270.0, 0.05)
         assert len(calls) < 60  # stepwise: 5080 steps in 159 chunks
         (coarse,) = sequential_run(frame, [play], [270.0], 0.05)
         (fine,) = sequential_run(frame, [play], [270.0], 0.025)
@@ -697,6 +653,29 @@ class TestExtractPauliRates:
             extract_pauli_rates(device_a, 0.008, frame.dressed_frequency(0),
                                 control=1, target=0)
 
+    def test_read_period_above_bound_raises(self, device_a, monkeypatch):
+        """A tone 0.5 MHz off the frame repeats every 2 us, past
+        MAX_READ_PERIOD: the read fails before any step stack is built and
+        names the detuning and the period."""
+        frame = OperatingFrame(device_a, 4.96)
+        calls = count_step_stacks(monkeypatch)
+        with pytest.raises(TomographyFitError, match=r"0\.0005 GHz from the 4\.96 GHz "
+                                                      r"frame repeats every 2000 ns"):
+            extract_pauli_rates(device_a, 0.002, 4.9605, control=1, target=0, frame=frame)
+        assert calls == []
+
+    def test_signed_amplitudes_give_opposite_zx(self):
+        """A 4 MHz tone and its negative, as the `zx` amplitude grid passes
+        them, turn the target the opposite way: ZX flips its sign and keeps
+        its magnitude within 1 % (0.2 % today)."""
+        system = to_system(load_preset("device-a"))
+        frame = OperatingFrame(system)
+        carrier = frame.dressed_frequency(0)
+        plus, minus = (extract_pauli_rates(system, a, carrier, control=1, target=0,
+                                           frame=frame)["ZX"] for a in (0.004, -0.004))
+        assert plus * minus < 0.0
+        assert abs(plus + minus) < 0.01 * abs(plus)
+
     @pytest.mark.parametrize("tones_on, tolerance", [(True, 0.01), (False, 0.05)])
     def test_zx_near_closed_form(self, tones_on, tolerance):
         """ZX against `zx_with_cancellation` at 2, 5 and 10 MHz, as
@@ -715,3 +694,45 @@ class TestExtractPauliRates:
                                      control=1, target=0)["ZX"]
             expected = zx_with_cancellation(replace(inputs, omega_cr=omega), cr_on=1)
             assert zx == pytest.approx(expected, rel=tolerance)
+
+
+def zz_phase(frame, u_frame, t, q0, q1):
+    """Conditional phase of the (q0, q1) computational diagonal of an
+    operating-frame propagator at time t."""
+    u_op = frame.to_operating(u_frame, t)
+    d = [u_op[i, i] for i in frame.computational_indices(q0, q1)]
+    return float(np.angle(d[0] * d[3] * np.conj(d[1] * d[2])))
+
+
+class TestDrivenZzRateDetuned:
+    """The CZ phase precalibration's read, with the tones detuned from the
+    frame as the gate's are: whole periods of one period propagator."""
+
+    def test_detuned_tones_match_stepwise_oracle(self, qutrit_pair_frame):
+        """Tones 93.7 MHz below the frame (period 10.672 ns) over a 120 ns
+        window read at m T and 2 m T, m = 6, against the oracle stepped to
+        the same two times: within the oracle's own step error."""
+        frame, dt = qutrit_pair_frame, DEFAULT_DT
+        tones = (DriveTone(0, 0.03, 4.9063, 0.7), DriveTone(1, 0.015, 4.9063, 0.0))
+        period = 1.0 / 0.0937
+        m = round(120.0 / (2.0 * period))
+        assert m == 6
+        rate = driven_zz_rate(frame.system, tones, duration=120.0, dt=dt, frame=frame)
+        terms = [_DriveTerm(target=t.target, start=0.0, envelope=None, amplitude=t.amplitude,
+                            detuning=t.frequency - frame.frame_frequency, phase=t.phase)
+                 for t in tones]
+        stops = [m * period, 2 * m * period]
+
+        def oracle_rate(step):
+            phases = [zz_phase(frame, u, t, 0, 1)
+                      for u, t in zip(sequential_run(frame, terms, stops, step), stops)]
+            return -(phases[1] - phases[0]) / (TWO_PI * m * period)
+
+        coarse, fine = oracle_rate(dt), oracle_rate(dt / 2)
+        assert abs(coarse) > 1e-4
+        assert abs(rate - coarse) < abs(coarse - fine)
+
+    def test_tones_at_two_frequencies_raise(self, qutrit_pair_frame):
+        tones = (DriveTone(0, 0.03, 4.9063, 0.0), DriveTone(1, 0.015, 4.95, 0.0))
+        with pytest.raises(ValueError, match="2 frequencies"):
+            driven_zz_rate(qutrit_pair_frame.system, tones, frame=qutrit_pair_frame)
