@@ -189,7 +189,7 @@ def cmd_sweep(args) -> int:
             if path not in DRIVE_AXES:
                 modified = apply_override(modified, f"{path}={float(value)!r}")
         try:
-            system = to_system(modified)
+            system = base_system if modified is doc else to_system(modified)
             for (path, _), value in zip(axes, point):
                 if path in DRIVE_AXES:
                     system = apply_drive_axis(system, path, float(value))

@@ -12,13 +12,15 @@ For one tensor layout (`SystemSpec.dims`) the Hamiltonian's structure never
 changes, only its coefficients: H = D + sum_k c_k O_k, with D diagonal.
 `mode_operators` caches, per `dims`, each mode's embedded sparse ladder
 operators and the occupation-number grid.  Every builder evaluates D (Duffing
-and bus energies) from the occupations and adds the coupling and drive
-terms as coefficients times products of the cached operators.  In the
-rotating frame only the drive terms change from one sweep point to the
-next, so `undriven_rwa_hamiltonian` caches D plus the couplings per
-undriven system and frame, and each build adds its drives to that.  The
-dressed-to-bare parameter fit that measured devices need is memoised per
-undriven system in `config.to_system`, so drive-only sweeps fit once.
+and bus energies) from the occupations and adds the coupling terms as
+coefficients times products of the cached operators.  In the rotating frame
+only the drive terms change from one sweep point to the next, so the
+sparsity pattern is fixed per drive-free system and frame:
+`undriven_rwa_hamiltonian` caches an `RwaLayout`, the union of the undriven
+entries and every mode's ladder entries with the undriven values in it, and
+a drive setting is one fill of that pattern's data.  The dressed-to-bare
+parameter fit that measured devices need is memoised per undriven system in
+`config.to_system`, so drive-only sweeps fit once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DimensionCapError, MultiFrequencyFrameError
 
@@ -219,12 +220,17 @@ def ladder_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
-    """Relative Frobenius test of h = h^dagger, for a dense or sparse matrix."""
-    frobenius = scipy.sparse.linalg.norm if scipy.sparse.issparse(h) else np.linalg.norm
-    norm = frobenius(h)
-    if norm == 0:
-        return True
-    return frobenius(h - h.conj().T) / norm < tol
+    """Relative Frobenius test of h = h^dagger, for a dense or sparse matrix.
+
+    A sparse matrix's norms are taken over the data of its canonical CSR form.
+    """
+    if scipy.sparse.issparse(h):
+        h = h.tocsr(copy=True)
+        h.sum_duplicates()  # a sparse difference is canonical already
+        norm, gap_norm = np.linalg.norm(h.data), np.linalg.norm((h - h.conj().T).data)
+    else:
+        norm, gap_norm = np.linalg.norm(h), np.linalg.norm(h - h.conj().T)
+    return norm == 0 or gap_norm / norm < tol
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +292,8 @@ def mode_operators(dims: tuple[int, ...]):
 def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.sparse.csr_matrix:
     """Diagonal (Duffing and bus energies) plus the coupling terms; drives ignored.
 
-    Terms are added one at a time in declaration order, and
-    `build_rwa_hamiltonian_sparse` adds the drive terms after them, also in
-    declaration order; that order fixes the rounding of every entry, and
-    with it every downstream output.
+    Terms are added one at a time in declaration order; that order fixes
+    the rounding of every entry, and with it every downstream output.
     """
     occupations, a, adag = mode_operators(system.dims)
     diagonal = np.zeros(occupations.shape[1])
@@ -323,21 +327,61 @@ def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.spars
     return h
 
 
-@functools.lru_cache(maxsize=16)
-def undriven_rwa_hamiltonian(system: SystemSpec,
-                             frame_frequency: float) -> scipy.sparse.csr_matrix:
-    """Read-only undriven RWA Hamiltonian, cached per drive-free system and frame.
+@dataclass(frozen=True, eq=False)
+class RwaLayout:
+    """Sparsity layout of one drive-free system's RWA Hamiltonian in one frame.
 
-    Every sweep point and root evaluation of one device shares this part;
-    `build_rwa_hamiltonian_sparse` adds the drive terms to it.  A system
-    with drives raises ValueError: pass `system.without_drives()`.
+    `undriven` holds the drive-free Hamiltonian in the union pattern of its
+    own entries and every mode's ladder entries, with stored zeros at the
+    ladder slots; a drive never meets an undriven entry, because the
+    undriven terms conserve excitation number.  `ladders[m]` is
+    (rows, cols, values, raising, lowering): mode m's raising operator has
+    `values` (sqrt n) at (rows, cols), and `raising`/`lowering` are the
+    data slots of those entries and of their transposes.  Every array is
+    read-only.
+    """
+
+    undriven: scipy.sparse.csr_matrix
+    ladders: tuple[tuple[np.ndarray, ...], ...]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The undriven values in the layout's pattern."""
+        return self.undriven.data
+
+
+@functools.lru_cache(maxsize=16)
+def undriven_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> RwaLayout:
+    """Read-only RWA layout, cached per drive-free system and frame.
+
+    Every sweep point and root evaluation of one device shares it;
+    `build_rwa_hamiltonian_sparse` fills its drive slots.  A system with
+    drives raises ValueError: pass `system.without_drives()`.
     """
     if system.drives:
         raise ValueError("undriven_rwa_hamiltonian takes a system without drives")
-    h = _build(system, frame_frequency, rwa=True)
-    for array in (h.data, h.indices, h.indptr):
+    h = _build(system, frame_frequency, rwa=True).tocoo()
+    ladders = [op.tocoo() for op in mode_operators(system.dims)[2]]
+    # entry blocks: the undriven entries, every mode's raising entries, then their transposes
+    blocks = [(h.row, h.col), *((a.row, a.col) for a in ladders),
+              *((a.col, a.row) for a in ladders)]
+    rows, cols = (np.concatenate(part) for part in zip(*blocks))
+    order = np.lexsort((cols, rows))  # CSR order: by row, then by column
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
+    undriven_slots, *ladder_slots = np.split(slots, np.cumsum([len(r) for r, _ in blocks[:-1]]))
+    data = np.zeros(len(order), dtype=complex)
+    data[undriven_slots] = h.data
+    dim = h.shape[0]
+    undriven = scipy.sparse.csr_matrix(
+        (data, cols[order], np.searchsorted(rows[order], np.arange(dim + 1))), (dim, dim))
+    n = len(ladders)
+    entries = [(a.row, a.col, a.data, up, down)
+               for a, up, down in zip(ladders, ladder_slots[:n], ladder_slots[n:])]
+    for array in (undriven.data, undriven.indices, undriven.indptr,
+                  *(array for entry in entries for array in entry)):
         array.flags.writeable = False
-    return h
+    return RwaLayout(undriven, tuple(entries))
 
 
 def build_static_hamiltonian_sparse(system: SystemSpec) -> scipy.sparse.csr_matrix:
@@ -357,19 +401,28 @@ def build_static_hamiltonian(system: SystemSpec) -> np.ndarray:
 
 def build_rwa_hamiltonian_sparse(system: SystemSpec,
                                  frame_frequency: float) -> scipy.sparse.csr_matrix:
-    """Sparse rotating-frame Hamiltonian; see build_rwa_hamiltonian."""
+    """Sparse rotating-frame Hamiltonian; see build_rwa_hamiltonian.
+
+    The drives are added at their modes' slots of the cached `RwaLayout`,
+    one at a time in declaration order, into a copy of its undriven data;
+    the result shares the layout's read-only indices and indptr.  An
+    undriven system gets the cached read-only matrix itself.
+    """
     offending = sorted({d.frequency for d in system.drives if d.frequency != frame_frequency})
     if offending:
         raise MultiFrequencyFrameError(
             f"drives at {offending} GHz do not match frame {frame_frequency} GHz")
-    _, a, adag = mode_operators(system.dims)
-    h = undriven_rwa_hamiltonian(system.without_drives(), frame_frequency)
-    for d in system.drives:  # after the couplings, one at a time in declaration order
+    layout = undriven_rwa_hamiltonian(system.without_drives(), frame_frequency)
+    h = layout.undriven
+    if not system.drives:
+        return h
+    data = layout.data.copy()
+    for d in system.drives:
+        _, _, values, raising, lowering = layout.ladders[d.target]
         half = 0.5 * d.amplitude
-        h = h + (half * np.exp(1j * d.phase) * adag[d.target]
-                 + half * np.exp(-1j * d.phase) * a[d.target])
-    h.sort_indices()
-    return h
+        data[raising] += values * (half * np.exp(1j * d.phase))
+        data[lowering] += values * (half * np.exp(-1j * d.phase))
+    return scipy.sparse.csr_matrix((data, h.indices, h.indptr), h.shape)
 
 
 def build_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> np.ndarray:

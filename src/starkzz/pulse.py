@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StepSizeError, TomographyFitError
 from .operators import (SystemSpec, bare_index, basis_label, build_rwa_hamiltonian,
-                        computational_labels, mode_operators)
+                        computational_labels, mode_operators, undriven_rwa_hamiltonian)
 from .spectrum import assign_labels
 
 TWO_PI = 2.0 * math.pi
@@ -220,7 +220,7 @@ class OperatingFrame:
         anchors = np.diagonal(basis)
         self.basis = basis * (anchors / np.abs(anchors)).conj()[None, :]
 
-        self.occupations, _, raising = mode_operators(self.dims)
+        self.occupations = mode_operators(self.dims)[0]
         n_modes = len(self.dims)
         e0 = self.energies[0]
         self.eps = np.array([
@@ -230,7 +230,8 @@ class OperatingFrame:
         # ideal idle maps to the identity with no global phase.
         self.frame_rates = e0 + sum(e * n for e, n in zip(self.eps, self.occupations))
         # (rows, cols, values) of each raising operator; lowering's are (cols, rows, values)
-        self.raising_entries = [(a.row, a.col, a.data) for a in (op.tocoo() for op in raising)]
+        layout = undriven_rwa_hamiltonian(system.without_drives(), self.frame_frequency)
+        self.raising_entries = [ladder[:3] for ladder in layout.ladders]
 
     def dressed_frequency(self, mode: int) -> float:
         """Dressed operating frequency of a mode in lab terms (GHz)."""

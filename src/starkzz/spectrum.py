@@ -128,11 +128,16 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
     antisymmetric and moves the energies only at second order.  Each
     label's overlap is kept; one below AMBIGUOUS_OVERLAP is not fatal
     (`PairRates.ambiguous` reports it for the computational labels).
+    The Hermiticity test (relative Frobenius, 1e-10) runs on the matrix
+    that is decomposed: a sparse `h` up to DENSE_LIMIT states is densified
+    first, and above it the test runs on the sparse matrix.
     """
     dims = tuple(int(d) for d in dims)
     dim = h.shape[0]
     if math.prod(dims) != dim:
         raise ValueError(f"dims {dims} inconsistent with matrix dimension {dim}")
+    if dim <= DENSE_LIMIT and scipy.sparse.issparse(h):
+        h = h.toarray()
     if not is_hermitian(h, tol=1e-10):
         raise ValueError("labeled_spectrum requires a Hermitian matrix")
     if dim > DENSE_LIMIT:
@@ -142,7 +147,7 @@ def labeled_spectrum(h, dims, frame_frequency: float = 0.0) -> LabeledSpectrum:
         unsolved = np.full(dim, np.nan)
         return LabeledSpectrum(energies=unsolved, overlaps=unsolved.copy(),
                                frame_frequency=frame_frequency, dims=dims, sparse=h)
-    vals, vecs = scipy.linalg.eigh(h.toarray() if scipy.sparse.issparse(h) else h)
+    vals, vecs = scipy.linalg.eigh(h)
     order = assign_labels(vecs)
     return LabeledSpectrum(energies=vals[order],
                            overlaps=np.abs(vecs[np.arange(dim), order]) ** 2,

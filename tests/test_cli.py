@@ -261,6 +261,27 @@ class TestSweepCommand:
         assert flags[0] == flags[1]
         assert set(flags[0]) == {"0", "1"}
 
+    @pytest.mark.parametrize("axes, calls", [
+        (["drives.phase_difference:0:6.283185307179586:5"], 1),
+        (["drives.scale:0.5:1.0:2", "drives.frequency:5.0:5.1:3"], 1),
+        (["drives.scale:0.5:1.0:2", "couplings.0.strength:0.007:0.008:3"], 1 + 6),
+    ])
+    def test_to_system_once_per_config_point(self, tmp_path, monkeypatch, axes, calls):
+        """Drive axes edit the base system; only a config-path axis builds a
+        system per point."""
+        built = []
+
+        def counting(doc):
+            built.append(doc)
+            return to_system(doc)
+
+        monkeypatch.setattr(cli, "to_system", counting)
+        argv = ["sweep", "--preset", "device-a", "--out", str(tmp_path / "s.csv")]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 0
+        assert len(built) == calls
+
     def test_two_axes_row_major(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = main(["sweep", "--preset", "device-a",
@@ -522,14 +543,14 @@ class TestCalibrateCommand:
         assert "insensitive to the gate amplitude" in capsys.readouterr().err
 
 
-def loads_scipy_optimize(commands, tmp_path, prelude="") -> bool:
+def loads_module(module, commands, tmp_path, prelude="") -> bool:
     """Whether a fresh process that runs `prelude` and then each CLI
-    argument list (with --out into tmp_path) imports scipy.optimize."""
+    argument list (with --out into tmp_path) imports `module`."""
     runs = "".join(
         f"assert starkzz.cli.main({[*argv, '--out', str(tmp_path / name)]!r}) == 0\n"
         for name, argv in commands)
     script = ("import sys\nimport starkzz.cli\n" + prelude + runs
-              + "print('scipy.optimize' in sys.modules)\n")
+              + f"print({module!r} in sys.modules)\n")
     src = pathlib.Path(cli.__file__).parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
@@ -537,31 +558,42 @@ def loads_scipy_optimize(commands, tmp_path, prelude="") -> bool:
     return done.stdout.splitlines()[-1] == "True"
 
 
-def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
-    """Importing the CLI, fitting device-a's bare parameters and running
-    `zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`
-    load no optimizer, so these commands do not pay for importing scipy.optimize."""
+def start_up_commands():
+    """`zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`."""
     doc = load_preset("device-b-chain")
     cut = [f"{key}={json.dumps(value)}" for key, value in (
         ("transmons", doc["transmons"][:3]),
         ("couplings", [c for c in doc["couplings"] if max(c["endpoints"]) < 3]))]
-    prelude = ("from starkzz.config import load_preset, to_system\n"
-               "to_system(load_preset('device-a'))\n")
-    assert not loads_scipy_optimize([
+    return [
         ("zz.json", ["zz", "--preset", "device-a"]),
         ("phase.csv", ["sweep", "--preset", "device-a",
                        "--axis", "drives.phase_difference:0:6.283185307179586:41"]),
         ("chain.json", ["calibrate", "chain", "--preset", "device-b-chain",
                         "--set", cut[0], "--set", cut[1]]),
         ("cancel.json", ["calibrate", "cancel", "--preset", "device-b-pair"]),
-    ], tmp_path, prelude)
+    ]
+
+
+def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
+    """Importing the CLI, fitting device-a's bare parameters and running
+    `zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`
+    load no optimizer, so these commands do not pay for importing scipy.optimize."""
+    prelude = ("from starkzz.config import load_preset, to_system\n"
+               "to_system(load_preset('device-a'))\n")
+    assert not loads_module("scipy.optimize", start_up_commands(), tmp_path, prelude)
+
+
+def test_start_up_leaves_scipy_sparse_linalg_unloaded(tmp_path):
+    """Hermiticity is tested with numpy norms and label solves are Davidson's,
+    so the same commands never import scipy.sparse.linalg."""
+    assert not loads_module("scipy.sparse.linalg", start_up_commands(), tmp_path)
 
 
 def test_gates_and_zx_leave_scipy_optimize_unloaded(tmp_path):
     """Gate angles and Pauli rates are read from the propagator, so the
     seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them,
     import no optimizer."""
-    assert not loads_scipy_optimize([
+    assert not loads_module("scipy.optimize", [
         ("cnot.json", ["calibrate", "cnot", "--preset", "device-a", "--duration", "90"]),
         ("cz.json", ["calibrate", "cz", "--preset", "device-a", "--duration", "200",
                      "--gate-frequency", "4.9", "--gate-amplitude", "0.026"]),

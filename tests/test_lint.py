@@ -55,9 +55,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def optimizer_imports(source: str) -> list[str]:
+def module_imports(source: str, module: str) -> list[str]:
     """The function (`<module>` at top level) holding each import of
-    scipy.optimize or of a name from it in `source`."""
+    `module`, of a submodule of it or of a name from it in `source`."""
     found = []
 
     def visit(node, owner):
@@ -72,7 +72,7 @@ def optimizer_imports(source: str) -> list[str]:
                                                   for alias in child.names]
             else:
                 modules = []
-            if any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules):
+            if any(m == module or m.startswith(module + ".") for m in modules):
                 found.append(owner)
             visit(child, owner)
 
@@ -80,17 +80,29 @@ def optimizer_imports(source: str) -> list[str]:
     return found
 
 
+def src_module_imports(module: str) -> list[str]:
+    """`<file>.<function>` of every import of `module` in the package source."""
+    return [f"{path.stem}.{owner}" for path in sorted((ROOT / "src" / "starkzz").glob("*.py"))
+            for owner in module_imports(path.read_text(), module)]
+
+
 def test_optimizer_checker_names_the_importing_function():
     source = ("import scipy.linalg\nfrom scipy import optimize\n"
               "def f():\n    import scipy.optimize\n"
-              "class C:\n    def g(self):\n        from scipy.optimize import root\n")
-    assert optimizer_imports(source) == ["<module>", "f", "g"]
+              "class C:\n    def g(self):\n        from scipy.optimize import root\n"
+              "import scipy.sparse\nfrom scipy.sparse import linalg\n")
+    assert module_imports(source, "scipy.optimize") == ["<module>", "f", "g"]
+    assert module_imports(source, "scipy.sparse.linalg") == ["<module>"]
 
 
 def test_scipy_optimize_only_in_assign_labels():
     """The package imports scipy.optimize in one place, the non-bijective
     branch of `spectrum.assign_labels`; every gate angle, rate and
     calibration is solved without it."""
-    found = [f"{path.stem}.{owner}" for path in sorted((ROOT / "src" / "starkzz").glob("*.py"))
-             for owner in optimizer_imports(path.read_text())]
-    assert found == ["spectrum.assign_labels"]
+    assert src_module_imports("scipy.optimize") == ["spectrum.assign_labels"]
+
+
+def test_no_src_module_imports_scipy_sparse_linalg():
+    """Hermiticity is tested with numpy norms and label solves are Davidson's,
+    so the package never imports scipy.sparse.linalg."""
+    assert src_module_imports("scipy.sparse.linalg") == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from starkzz.errors import DimensionCapError, MultiFrequencyFrameError
 from starkzz.operators import (CouplingKind, CouplingSpec, DriveTone, SystemSpec,
-                               TransmonSpec, build_rwa_hamiltonian,
+                               TransmonSpec, _build, bare_index, build_rwa_hamiltonian,
                                build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, bus_coupling,
                                direct_coupling, is_hermitian, ladder_ops,
@@ -317,6 +317,67 @@ class TestRwaHamiltonian:
         h = build_rwa_hamiltonian(system, 5.0)
         assert h[1, 0] == pytest.approx(0.01 * np.exp(1j * 0.5))
         assert h[0, 1] == pytest.approx(0.01 * np.exp(-1j * 0.5))
+
+
+def per_tone_sum(system, frame_frequency):
+    """The RWA Hamiltonian as a scipy.sparse sum: the undriven part, then
+    each drive's ladder terms one at a time in declaration order."""
+    _, a, adag = mode_operators(system.dims)
+    h = _build(system, frame_frequency, rwa=True)
+    for d in system.drives:
+        half = 0.5 * d.amplitude
+        h = h + (half * np.exp(1j * d.phase) * adag[d.target]
+                 + half * np.exp(-1j * d.phase) * a[d.target])
+    return h.toarray()
+
+
+class TestRwaLayout:
+    """A drive setting fills the data of one cached sparsity pattern."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fill_equals_per_tone_sum(self, device_a, device_b_pair, three_transmon_chain,
+                                      data):
+        """Every entry is bit-equal to the scipy.sparse sum, with one tone more
+        than transmons (so two share one) and a zero-amplitude tone."""
+        for system in (device_a, device_b_pair, three_transmon_chain):
+            n = system.num_transmons
+            tones = data.draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.floats(0.0, 0.06),
+                          st.floats(0.0, 2 * math.pi)), min_size=n + 1, max_size=n + 2))
+            tones.append((n - 1, 0.0, data.draw(st.floats(0.0, 2 * math.pi))))
+            driven = system.with_drives(tuple(
+                DriveTone(target, amp, 5.1, phase) for target, amp, phase in tones))
+            h = build_rwa_hamiltonian_sparse(driven, 5.1)
+            assert np.array_equal(h.toarray(), per_tone_sum(driven, 5.1))
+
+    def test_driven_builds_share_the_pattern(self, device_b_pair):
+        builds = [build_rwa_hamiltonian_sparse(device_b_pair.with_drives(
+            (DriveTone(0, amp, 5.1, 1.0), DriveTone(1, 0.02, 5.1))), 5.1)
+                  for amp in (0.01, 0.03)]
+        pattern = undriven_rwa_hamiltonian(device_b_pair, 5.1).undriven
+        for field in ("indices", "indptr"):
+            arrays = [getattr(h, field) for h in (*builds, pattern)]
+            assert all(np.shares_memory(arrays[0], other) for other in arrays[1:])
+            assert not any(array.flags.writeable for array in arrays)
+        assert not np.shares_memory(builds[0].data, builds[1].data)
+        excited = bare_index((1, 0, 0), device_b_pair.dims)  # transmon 0's tone reaches it
+        assert builds[0][excited, 0] != builds[1][excited, 0]
+
+    def test_ladders_are_the_raising_operators(self, device_b_pair):
+        """`ladders` holds each mode's raising entries, at slots that hold them."""
+        layout = undriven_rwa_hamiltonian(device_b_pair, 5.1)
+        h = layout.undriven
+        rows_of_slot = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        for (rows, cols, values, up, down), raising in zip(
+                layout.ladders, mode_operators(device_b_pair.dims)[2]):
+            coo = raising.tocoo()
+            assert (np.array_equal(rows, coo.row) and np.array_equal(cols, coo.col)
+                    and np.array_equal(values, coo.data))
+            assert np.array_equal(rows_of_slot[up], rows) and np.array_equal(h.indices[up], cols)
+            assert np.array_equal(rows_of_slot[down], cols)
+            assert np.array_equal(h.indices[down], rows)
+            assert not h.data[up].any() and not h.data[down].any()
 
 
 class TestUndrivenCache:

@@ -181,6 +181,15 @@ class TestSparseSpectrum:
         with pytest.raises(ValueError, match="Hermitian"):
             labeled_spectrum(h, (2, 2))
 
+    def test_non_hermitian_sparse_rejected_when_densified(self):
+        """At or below DENSE_LIMIT the test runs on the densified matrix."""
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[0, 1] = 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            labeled_spectrum(scipy.sparse.csr_matrix(h), (2, 2))
+        h[1, 0] = 0.5
+        assert labeled_spectrum(scipy.sparse.csr_matrix(h), (2, 2)).sparse is None
+
     def test_each_label_solved_once(self, device_a, monkeypatch):
         solved = []
 
