@@ -7,12 +7,14 @@ qubit 0's seed Stark shift and every nearest-neighbour ZZ of the full-chain
 spectrum, starting from the closed-form (single-drive Stark and SIZZLE ZZ)
 Jacobian and updating it by Broyden's secant rule, with forward differences
 only as the fallback when a step fails to lower the error.  The CNOT and CZ
-loops read their rotation angles from the gate's operating-frame unitary
+start from closed-form seeds (quarter-turn amplitudes; tone phase 0 or pi);
+their loops read the rotation angles from the gate's operating-frame unitary
 (each distinct pulse propagated once; per control state the SU(2) logarithm
 of the target block, `pulse.conditional_rotations`) and drive every angle
-below `ANGLE_TOLERANCE`.  Each gate has one pulse shape: sigma `GATE_SIGMA` =
-10 ns, a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A
-calibration's `result` is scored from the loops' own propagation of its pulse.
+below `ANGLE_TOLERANCE`; a last step nulls the control's phase per gate by
+its frame change.  Each gate has one pulse shape: sigma `GATE_SIGMA` = 10 ns,
+a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
+`result` is scored from its loop's own propagation of its pulse.
 """
 
 from __future__ import annotations
@@ -479,12 +481,12 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
                    target: int = 0, dt: float = DEFAULT_DT) -> CnotCalibration:
     """Iterative direct-CNOT calibration on a ZZ-cancelled system.
 
-    Stage 1 coarsely scans the entangling-tone amplitude to a quarter-turn
-    conditional rotation, stage 2 aligns the conditional axis along -x via
-    the tone phase, stage 3 runs the fine loop (amplitudes, common phase,
-    quadrature corrections, target frame change; all updates applied from
-    one batch of angle reads), and stage 4 sets the control frame change
-    from the control's phase per gate.
+    One `newton_loop` solve from the closed-form seed (a quarter turn on
+    each rate: the control amplitude from `seed_zx_rate`, the target's from
+    the pulse's flat area, every phase 0) drives the six angle residuals
+    below `ANGLE_TOLERANCE` through the amplitudes, the common phase, the
+    quadrature corrections and the target frame change; the control frame
+    change is then set from the control's phase per gate.
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
     carrier = gate.frame.dressed_frequency(target)
@@ -494,35 +496,11 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     def schedule(c: CnotCalibration) -> PulseSchedule:
         return _cnot_schedule(c, carrier, control, target)
 
-    # Perturbative starting point for the conditional and direct rates.
-    omega_c0 = 0.25 / (seed_zx_rate(system, control, target, 1.0) * gate_area)
     cal = CnotCalibration(
-        control_amplitude=omega_c0, target_amplitude=0.25 / gate_area,
-        control_phase=0.0, target_phase=0.0, target_drag=0.0,
-        target_skew=0.0, target_frame_change=0.0, control_frame_change=0.0,
-        duration=duration)
-
-    def conditional(cal_trial) -> np.ndarray:
-        v0, v1 = gate.rotations(
-            schedule(replace(cal_trial, target_amplitude=0.0)), desired)
-        return 0.5 * (v0 - v1)
-
-    # Stage 1: linear scan of the conditional angle vs tone amplitude.
-    amps = omega_c0 * np.array([0.6, 1.0, 1.4])
-    angles = [np.linalg.norm(conditional(replace(cal, control_amplitude=float(amp))))
-              for amp in amps]
-    slope, intercept = np.polyfit(amps, angles, 1)
-    cal.control_amplitude = float((0.5 * math.pi - intercept) / slope)
-
-    # Stage 2: align the conditional rotation along -x.
-    for _ in range(2):
-        vec = conditional(cal)
-        azimuth = math.atan2(vec[1], vec[0])
-        error = _wrap_angle(math.pi - azimuth)
-        cal.control_phase = _wrap_angle(cal.control_phase + error)
-        cal.target_phase = _wrap_angle(cal.target_phase + error)
-        if abs(error) < 0.5 * ANGLE_TOLERANCE:
-            break
+        control_amplitude=0.25 / (seed_zx_rate(system, control, target, 1.0) * gate_area),
+        target_amplitude=0.25 / gate_area, control_phase=0.0, target_phase=0.0,
+        target_drag=0.0, target_skew=0.0, target_frame_change=0.0,
+        control_frame_change=0.0, duration=duration)
 
     def measure(cal_trial) -> np.ndarray:
         v0, v1 = gate.rotations(schedule(cal_trial), desired)
@@ -534,16 +512,13 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
                          c.target_frame_change])
 
     def set_params(c, p) -> None:
-        shift = p[2] - c.control_phase
         c.control_amplitude = float(p[0])
         c.target_amplitude = float(p[1])
-        c.control_phase = float(p[2])
-        c.target_phase = float(c.target_phase + shift)  # phases move together
+        c.control_phase = c.target_phase = float(p[2])  # one common phase
         c.target_drag = float(p[3])
         c.target_skew = float(p[4])
         c.target_frame_change = float(p[5])
 
-    # Stage 3: the fine loop over the six angle residuals.
     steps = np.array([
         0.05 * abs(cal.control_amplitude) + 1e-5,
         0.05 * abs(cal.target_amplitude) + 1e-5,
@@ -552,9 +527,9 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
                 _attributes("control_amplitude", "target_amplitude", "control_phase",
                             "target_phase", "target_drag", "target_skew",
                             "target_frame_change", "control_frame_change"),
-                ANGLE_TOLERANCE, MAX_NEWTON_ITERATIONS, "CNOT fine loop")
+                ANGLE_TOLERANCE, MAX_NEWTON_ITERATIONS, "CNOT loop")
 
-    # Stage 4: control frame change, with the target prepared along the
+    # The control frame change, with the target prepared along the
     # conditional rotation axis so the branch phase is read unambiguously.
     gate.set_control_frame(cal, schedule, "x")
     cal.result = gate.score(schedule(cal), cnot_target(control_is_second=control > target))
@@ -613,14 +588,15 @@ def driven_zz_rate(system: SystemSpec, extra_tones, duration: float = 120.0,
 
 def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                  gate_amplitude: float, control: int = 1, target: int = 0,
-                 max_iterations: int = MAX_NEWTON_ITERATIONS, dt: float = DEFAULT_DT,
-                 initial: CzCalibration | None = None) -> CzCalibration:
+                 dt: float = DEFAULT_DT, initial: CzCalibration | None = None) -> CzCalibration:
     """Iterative conditional-phase gate calibration with pulsed tones.
 
-    The relative phase of the pulsed tone pair is first set for maximum
-    conditional-phase rate; the loop then tunes the control-side amplitude
-    and the target frame change to meet the conditional and single-qubit
-    phase goals, and finally sets the control frame change.
+    The tone pair's relative phase is 0 or pi, whichever reads the larger
+    |rate| from `driven_zz_rate`, by zz(-phi) = zz(phi) (H(-phi) = H(phi)*
+    while every tone phase is 0 or pi).  One `newton_loop` solve then tunes
+    the control-side amplitude and the target frame change to the
+    conditional and single-qubit phase goals; the control frame change is
+    set last.
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
 
@@ -635,28 +611,16 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
             relative_phase=0.0, target_frame_change=0.0,
             control_frame_change=0.0, gate_frequency=gate_frequency,
             duration=duration)
-        # Phase precalibration: maximize the conditional-phase rate.
+        # Phase precalibration: the larger conditional-phase rate of 0 and pi.
         if gate_amplitude > 0.0:
-            phis = np.linspace(0.0, TWO_PI, 9)[:-1]
-            rates = []
-            for phi in phis:
-                tones = (DriveTone(control, gate_amplitude, gate_frequency, phi),
-                         DriveTone(target, gate_amplitude, gate_frequency, 0.0))
-                rates.append(driven_zz_rate(system, tones, dt=dt, q0=target,
-                                            q1=control, frame=gate.frame))
-            rates = np.array(rates)
-            design = np.stack([np.ones_like(phis), np.cos(phis), np.sin(phis)],
-                              axis=1)
-            coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
-            best = math.atan2(coef[2], coef[1])
-            values = {0.0: coef[0] + math.hypot(coef[1], coef[2]),
-                      math.pi: coef[0] - math.hypot(coef[1], coef[2])}
-            # pick the extremum with the larger |rate|
-            offset = max(values, key=lambda k: abs(values[k]))
-            cal.relative_phase = _wrap_angle(best + offset)
+            rates = {phi: driven_zz_rate(
+                system, (DriveTone(control, gate_amplitude, gate_frequency, phi),
+                         DriveTone(target, gate_amplitude, gate_frequency, 0.0)),
+                dt=dt, q0=target, q1=control, frame=gate.frame) for phi in (0.0, math.pi)}
+            cal.relative_phase = max(rates, key=lambda phi: abs(rates[phi]))
             cal.transcript.append({"iteration": "phase-precal",
                                    "relative_phase": cal.relative_phase,
-                                   "zz_rate": values[offset]})
+                                   "zz_rate": rates[cal.relative_phase]})
 
     desired = (np.zeros(3), np.array([0.0, 0.0, math.pi]))
 
@@ -688,7 +652,7 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
     newton_loop(cal, measure, get_params, set_params, steps,
                 _attributes("control_amplitude", "target_frame_change",
                             "control_frame_change"),
-                ANGLE_TOLERANCE, max_iterations, "CZ loop", cap=cap, check=check)
+                ANGLE_TOLERANCE, MAX_NEWTON_ITERATIONS, "CZ loop", cap=cap, check=check)
     gate.set_control_frame(cal, schedule, "z")
     cal.result = gate.score(schedule(cal), CZ_TARGET)
     cal.converged = True

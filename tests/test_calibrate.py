@@ -6,7 +6,7 @@ import pytest
 
 from starkzz import calibrate
 from starkzz.calibrate import (CnotCalibration, CzCalibration,
-                               calibrate_cz, calibrated_cz_schedule,
+                               calibrate_cnot, calibrate_cz, calibrated_cz_schedule,
                                chain_cancellation, driven_zz_rate,
                                find_cancellation_amplitude,
                                find_cancellation_phase, newton_loop,
@@ -347,24 +347,24 @@ class TestDrivenZzRatePair:
                                      duration=200.0, q0=1, q1=2)
         assert time_domain == pytest.approx(spectral, rel=0.05)
 
-    def test_cz_phase_precalibration_reads_the_gate_pair(self):
+    def test_cz_phase_precalibration_reads_the_gate_pair(self, monkeypatch):
         """The CZ phase precalibration maximises the ZZ of the gate pair,
         not that of transmons 0 and 1 (uncoupled here, so zero)."""
+        monkeypatch.setattr(calibrate, "MAX_NEWTON_ITERATIONS", 0)
         with pytest.raises(NonconvergenceError) as info:
             calibrate_cz(spectator_pair((0.030, 0.015)), 200.0, 4.9, 0.02,
-                         control=2, target=1, max_iterations=0)
+                         control=2, target=1)
         precal = info.value.transcript[0]
         assert precal["iteration"] == "phase-precal"
         assert abs(precal["zz_rate"]) > 1e-4
 
 
 class TestCzDegenerate:
-    def test_zero_gate_amplitude_does_not_converge(self, device_a):
+    def test_zero_gate_amplitude_does_not_converge(self, device_a, monkeypatch):
         cw = device_a.with_drives(tone_pair(0.0622, 0.0232))
+        monkeypatch.setattr(calibrate, "MAX_NEWTON_ITERATIONS", 6)
         with pytest.raises(NonconvergenceError):
-            from starkzz.calibrate import calibrate_cz
-            calibrate_cz(cw, 200.0, 4.9, 0.0, control=1, target=0,
-                         max_iterations=6)
+            calibrate_cz(cw, 200.0, 4.9, 0.0, control=1, target=0)
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +467,44 @@ class TestRepeatedGateMemo:
         assert per_run > 0
         assert len(calls) == 2 * per_run
         assert second == first
+
+
+class TestGateSeeds:
+    """Each gate calibration is one Newton solve from its closed-form seed."""
+
+    def test_cnot_loop_starts_at_the_seed(self, preset_a, monkeypatch):
+        calls = count_propagations(monkeypatch)
+        cal = calibrate_cnot(preset_a, 90.0)
+        assert cal.iterations == 2
+        assert len(calls) <= 8
+
+    def test_cz_phase_is_the_larger_of_two_reads(self, preset_a, monkeypatch):
+        reads = []
+
+        def counted(*args, **kw):
+            reads.append(driven_zz_rate(*args, **kw))
+            return reads[-1]
+
+        monkeypatch.setattr(calibrate, "driven_zz_rate", counted)
+        cal = calibrate_cz(preset_a, 200.0, 4.9, 0.026)
+        assert len(reads) == 2
+        assert abs(reads[0]) > abs(reads[1])
+        assert cal.relative_phase == 0.0
+        assert cal.transcript[0]["zz_rate"] == reads[0]
+
+    @pytest.mark.parametrize("phi", [0.3, 0.7, 2.0, 3.0])
+    def test_driven_zz_rate_is_even_in_the_phase(self, preset_a, phi):
+        """With every CW tone phase 0 or pi, H(-phi) = H(phi)*, so the
+        time-domain rate is even in the gate tones' phase difference: its
+        extrema sit at 0 and pi, where the CZ precalibration reads it."""
+        assert {d.phase for d in preset_a.drives} <= {0.0, math.pi}
+        frame = OperatingFrame(preset_a)
+
+        def rate(p):
+            return driven_zz_rate(preset_a, (DriveTone(1, 0.026, 4.9, p),
+                                             DriveTone(0, 0.026, 4.9, 0.0)), frame=frame)
+
+        assert rate(-phi) == pytest.approx(rate(phi), rel=1e-9, abs=0.0)
 
 
 @dataclass
