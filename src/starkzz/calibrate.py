@@ -7,13 +7,14 @@ qubit 0's seed Stark shift and every nearest-neighbour ZZ of the full-chain
 spectrum, starting from the closed-form (single-drive Stark and SIZZLE ZZ)
 Jacobian and updating it by Broyden's secant rule, with forward differences
 only as the fallback when a step fails to lower the error.  The CNOT and CZ
-start from closed-form seeds (quarter-turn amplitudes; tone phase 0 or pi);
-their loops read the rotation angles from the gate's operating-frame unitary
-(each distinct pulse propagated once; per control state the SU(2) logarithm
-of the target block, `pulse.conditional_rotations`) and drive every angle
-below `ANGLE_TOLERANCE`; a last step nulls the control's phase per gate by
-its frame change.  Each gate has one pulse shape: sigma `GATE_SIGMA` = 10 ns,
-a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
+start from closed-form seeds (the CNOT's quarter-turn amplitudes, the CZ's
+gate amplitude; every tone phase 0) and read nothing but their own gate:
+their loops read the rotation angles from the gate's operating-frame
+unitary (each distinct pulse propagated once; per control state the SU(2)
+logarithm of the target block, `pulse.conditional_rotations`) and drive
+every angle below `ANGLE_TOLERANCE`; one exact frame change then nulls the
+control's phase per gate.  Each gate has one pulse shape: sigma
+`GATE_SIGMA` = 10 ns, a rise of 2 sigma for the CNOT and 3 sigma for the CZ.  A calibration's
 `result` is scored from its loop's own propagation of its pulse.
 """
 
@@ -31,7 +32,7 @@ from .perturbation import (PerturbativeInputs, seed_zx_rate, single_drive_stark,
                            sizzle_zz_induced)
 from .pulse import (DEFAULT_DT, Envelope, FrameChange, OperatingFrame, Play,
                     PulseSchedule, GateResult, _frame_change_phases, conditional_rotations,
-                    period_propagator, propagate, score_unitary)
+                    period_propagator, propagate, score_unitary, target_blocks)
 from .spectrum import (LabeledSpectrum, apply_drive_axis, driven_pair_rates,
                        pair_rates, rwa_spectrum, stark_shift, undriven_reference)
 
@@ -42,6 +43,8 @@ NULL_TOLERANCE = 5e-6
 #: Angle-error threshold ending the iterative gate loops (rad).
 ANGLE_TOLERANCE = 0.01
 MAX_NEWTON_ITERATIONS = 50  # iteration cap of every Newton solve
+#: Consecutive iterations without a new least error that stop a Newton solve.
+NEWTON_STALL_ITERATIONS = 5
 GATE_SIGMA = 10.0  # Gaussian edge width of the gate pulses (ns)
 CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS = 2.0, 3.0  # each gate's pulse edge, in GATE_SIGMA
 CHAIN_AMPLITUDE_CAP = 0.08  # largest tone amplitude (GHz) the chain solve may reach
@@ -340,18 +343,6 @@ class _RepeatedGate:
         pair = sorted((self.control, self.target))
         return score_unitary(self.frame, self.unitary(schedule), schedule, *pair, target)
 
-    def _prep(self, control_state: int, target_axis: str) -> np.ndarray:
-        psi = np.zeros(self.frame.dim, dtype=complex)
-        comp = self.frame.computational_indices(self.control, self.target)
-        i_lo, i_hi = comp[2 * control_state:2 * control_state + 2]
-        if target_axis == "z":
-            psi[i_lo] = 1.0
-        elif target_axis == "x":
-            psi[i_lo] = psi[i_hi] = 1.0 / math.sqrt(2.0)
-        else:
-            raise ValueError(f"unknown prep axis {target_axis!r}")
-        return psi
-
     def rotations(self, schedule: PulseSchedule, desired) -> list[np.ndarray]:
         """Target rotation vectors (radians) per gate with the control in 0 and
         in 1, read from the target block of the gate's unitary, each on the
@@ -363,23 +354,26 @@ class _RepeatedGate:
     def set_control_frame(self, cal, schedule, target_axis: str) -> None:
         """Null the control's z-phase per gate `schedule(cal)` by its frame change.
 
-        The phase is read as arg<1,a|U|1,a> - arg<0,a|U|0,a>, with the
-        target state a along `target_axis` an eigenstate of the conditional
+        The phase is read from the two `target_blocks` B_c of the gate's
+        unitary as arg(a^dag B_1 a) - arg(a^dag B_0 a), with the target
+        state a along `target_axis` an eigenstate of the conditional
         operation (z for conditional phases, x for a conditional x flip).
-        Each transcript row reports the phase read.
+        A control frame change theta multiplies B_1 by exp(-i theta), so
+        adding the read to it nulls the phase exactly: one read, one
+        correction and one confirming read, each reported in a transcript row.
         """
-        preps = [self._prep(state, target_axis) for state in (0, 1)]
-        for _ in range(4):
-            u_op = self.unitary(schedule(cal))
-            stay0, stay1 = (np.vdot(psi, u_op @ psi) for psi in preps)
+        a = {"z": np.array([1.0, 0.0]), "x": np.full(2, 1.0 / math.sqrt(2.0))}[target_axis]
+
+        def read() -> float:
+            stay0, stay1 = (np.vdot(a, block @ a) for block in target_blocks(
+                self.frame, self.unitary(schedule(cal)), self.control, self.target))
             phase = float(np.angle(stay1 * np.conj(stay0)))
             cal.transcript.append({"iteration": "control-frame",
                                    "control_phase_per_gate": phase})
-            if abs(phase) < ANGLE_TOLERANCE:
-                break
-            # frame change exp(-i theta n) contributes -theta to the measured
-            # control phase, so the correction adds the measured value
-            cal.control_frame_change = _wrap_angle(cal.control_frame_change + phase)
+            return phase
+
+        cal.control_frame_change = _wrap_angle(cal.control_frame_change + read())
+        read()
 
 
 def _attributes(*names):
@@ -411,11 +405,12 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
     `cap(cal)`, when given, bounds each parameter's update, and
     `check(jac)` may reject each new (model or forward-difference)
     Jacobian by raising.  On convergence `cal.iterations` is set; after
-    `max_iterations` NonconvergenceError carries the transcript.
+    `max_iterations`, or once `NEWTON_STALL_ITERATIONS` iterations in a row
+    fail to lower the least error, NonconvergenceError carries the transcript.
     """
     jac = None
-    previous = math.inf
-    damping = 1.0
+    previous = least = math.inf
+    least_iteration, damping = 0, 1.0
     for iteration in range(max_iterations):
         residual = measure(cal)
         err = float(np.max(np.abs(residual)))
@@ -423,6 +418,13 @@ def newton_loop(cal, measure, get_params, set_params, steps: np.ndarray,
         if err < tolerance:
             cal.iterations = iteration
             return
+        if err < least:
+            least, least_iteration = err, iteration
+        elif iteration - least_iteration >= NEWTON_STALL_ITERATIONS:
+            raise NonconvergenceError(
+                f"{name} stalls above {tolerance} {unit}: its least error, {least:.3g} "
+                f"{unit} at iteration {least_iteration}, is not lowered in "
+                f"{NEWTON_STALL_ITERATIONS} iterations", transcript=cal.transcript)
         p0 = get_params(cal)
         if jac is None or (err >= previous and damping == 1.0):
             if jac is None and jacobian is not None:
@@ -486,7 +488,7 @@ def calibrate_cnot(system: SystemSpec, duration: float, control: int = 1,
     the pulse's flat area, every phase 0) drives the six angle residuals
     below `ANGLE_TOLERANCE` through the amplitudes, the common phase, the
     quadrature corrections and the target frame change; the control frame
-    change is then set from the control's phase per gate.
+    change then nulls the control's phase per gate.
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
     carrier = gate.frame.dressed_frequency(target)
@@ -591,12 +593,11 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
                  dt: float = DEFAULT_DT, initial: CzCalibration | None = None) -> CzCalibration:
     """Iterative conditional-phase gate calibration with pulsed tones.
 
-    The tone pair's relative phase is 0 or pi, whichever reads the larger
-    |rate| from `driven_zz_rate`, by zz(-phi) = zz(phi) (H(-phi) = H(phi)*
-    while every tone phase is 0 or pi).  One `newton_loop` solve then tunes
-    the control-side amplitude and the target frame change to the
-    conditional and single-qubit phase goals; the control frame change is
-    set last.
+    One `newton_loop` solve from the seed (both tones at `gate_amplitude`,
+    relative phase 0; the closed-form SIZZLE ZZ goes as cos phi, so 0 and
+    pi give the same rate to leading order) tunes the control-side
+    amplitude and the target frame change to the conditional and
+    single-qubit phase goals; the control frame change is set last.
     """
     gate = _RepeatedGate(system, OperatingFrame(system), control, target, dt)
 
@@ -611,16 +612,6 @@ def calibrate_cz(system: SystemSpec, duration: float, gate_frequency: float,
             relative_phase=0.0, target_frame_change=0.0,
             control_frame_change=0.0, gate_frequency=gate_frequency,
             duration=duration)
-        # Phase precalibration: the larger conditional-phase rate of 0 and pi.
-        if gate_amplitude > 0.0:
-            rates = {phi: driven_zz_rate(
-                system, (DriveTone(control, gate_amplitude, gate_frequency, phi),
-                         DriveTone(target, gate_amplitude, gate_frequency, 0.0)),
-                dt=dt, q0=target, q1=control, frame=gate.frame) for phi in (0.0, math.pi)}
-            cal.relative_phase = max(rates, key=lambda phi: abs(rates[phi]))
-            cal.transcript.append({"iteration": "phase-precal",
-                                   "relative_phase": cal.relative_phase,
-                                   "zz_rate": rates[cal.relative_phase]})
 
     desired = (np.zeros(3), np.array([0.0, 0.0, math.pi]))
 

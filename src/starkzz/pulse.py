@@ -15,7 +15,7 @@ fit to trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,25 +139,12 @@ class PulseSchedule:
 
 def schedule_to_document(schedule: PulseSchedule) -> dict:
     """JSON-compatible document for a schedule."""
+    kinds = {FrameChange: "frame_change", Play: "play"}
     items = []
     for item in schedule.items:
-        if isinstance(item, FrameChange):
-            items.append({"type": "frame_change", "angle": item.angle,
-                          "target": item.target})
-        elif isinstance(item, Play):
-            env = item.envelope
-            items.append({
-                "type": "play", "target": item.target,
-                "carrier_frequency": item.carrier_frequency,
-                "carrier_phase": item.carrier_phase,
-                "envelope": {
-                    "amplitude": env.amplitude,
-                    "duration": env.duration, "sigma": env.sigma,
-                    "rise_fall_sigmas": env.rise_fall_sigmas,
-                    "drag_beta": env.drag_beta, "skew_gamma": env.skew_gamma,
-                }})
-        else:
+        if type(item) not in kinds:
             raise TypeError(f"unknown schedule item {item!r}")
+        items.append({"type": kinds[type(item)], **asdict(item)})
     doc = {"items": items}
     if schedule.total_duration is not None:
         doc["total_duration"] = schedule.total_duration
@@ -518,22 +505,21 @@ def default_frame_frequency(system: SystemSpec, schedule: PulseSchedule) -> floa
 
 
 def propagate(system: SystemSpec, schedule: PulseSchedule, dt: float = DEFAULT_DT,
-              q0: int = 0, q1: int = 1, target: np.ndarray | None = None,
-              frame: OperatingFrame | None = None) -> GateResult:
+              q0: int = 0, q1: int = 1, frame: OperatingFrame | None = None) -> GateResult:
     """Propagate a schedule and extract the computational-block gate.
 
     CW cancellation tones in the system run for the full schedule duration.
     The returned unitary is expressed in the dressed-label basis of the
     operating frame, where an ideal idle is the identity; the 4x4
     computational block is ordered 00, 01, 10, 11 for the (q0, q1) pair.
-    Fidelity is measured against `target` (identity when omitted).
+    Fidelity is measured against the identity.
     """
     if frame is None:
         frame = OperatingFrame(system, default_frame_frequency(system, schedule))
     terms, events, duration = _schedule_drive_terms(frame, schedule)
     u_frame = _evolve(frame, terms, events, duration, dt)
     u_op = frame.to_operating(u_frame, duration)
-    return score_unitary(frame, u_op, schedule, q0, q1, target)
+    return score_unitary(frame, u_op, schedule, q0, q1)
 
 
 def score_unitary(frame: OperatingFrame, u_op: np.ndarray, schedule: PulseSchedule,
@@ -573,12 +559,18 @@ def rotation_vector(block: np.ndarray) -> np.ndarray:
     return 2.0 * math.atan2(sin_half, cos_half) / sin_half * sin_axis
 
 
+def target_blocks(frame: OperatingFrame, u_op: np.ndarray, control: int,
+                  target: int) -> list[np.ndarray]:
+    """The 2x2 target blocks of an operating-frame unitary with the control
+    in 0 and in 1."""
+    comp = frame.computational_indices(control, target)
+    return [u_op[np.ix_(pair, pair)] for pair in (comp[:2], comp[2:])]
+
+
 def conditional_rotations(frame: OperatingFrame, u_op: np.ndarray, control: int,
                           target: int) -> list[np.ndarray]:
-    """`rotation_vector` of the target block of an operating-frame unitary
-    with the control in 0 and in 1."""
-    comp = frame.computational_indices(control, target)
-    return [rotation_vector(u_op[np.ix_(pair, pair)]) for pair in (comp[:2], comp[2:])]
+    """`rotation_vector` of each of the `target_blocks`."""
+    return [rotation_vector(block) for block in target_blocks(frame, u_op, control, target)]
 
 
 #: Read time (ns) of a tone at the frame frequency, whose Hamiltonian is

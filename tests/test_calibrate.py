@@ -347,17 +347,6 @@ class TestDrivenZzRatePair:
                                      duration=200.0, q0=1, q1=2)
         assert time_domain == pytest.approx(spectral, rel=0.05)
 
-    def test_cz_phase_precalibration_reads_the_gate_pair(self, monkeypatch):
-        """The CZ phase precalibration maximises the ZZ of the gate pair,
-        not that of transmons 0 and 1 (uncoupled here, so zero)."""
-        monkeypatch.setattr(calibrate, "MAX_NEWTON_ITERATIONS", 0)
-        with pytest.raises(NonconvergenceError) as info:
-            calibrate_cz(spectator_pair((0.030, 0.015)), 200.0, 4.9, 0.02,
-                         control=2, target=1)
-        precal = info.value.transcript[0]
-        assert precal["iteration"] == "phase-precal"
-        assert abs(precal["zz_rate"]) > 1e-4
-
 
 class TestCzDegenerate:
     def test_zero_gate_amplitude_does_not_converge(self, device_a, monkeypatch):
@@ -478,25 +467,24 @@ class TestGateSeeds:
         assert cal.iterations == 2
         assert len(calls) <= 8
 
-    def test_cz_phase_is_the_larger_of_two_reads(self, preset_a, monkeypatch):
-        reads = []
+    def test_cz_reads_only_its_own_gate(self, preset_a, monkeypatch):
+        """The CZ keeps its seed's relative phase 0 and reads neither a
+        constant-tone rate nor a period propagator: its transcript starts at
+        Newton iteration 0."""
+        def refused(*args, **kw):
+            raise AssertionError("the CZ read a constant-tone rate")
 
-        def counted(*args, **kw):
-            reads.append(driven_zz_rate(*args, **kw))
-            return reads[-1]
-
-        monkeypatch.setattr(calibrate, "driven_zz_rate", counted)
+        monkeypatch.setattr(calibrate, "driven_zz_rate", refused)
+        monkeypatch.setattr(calibrate, "period_propagator", refused)
         cal = calibrate_cz(preset_a, 200.0, 4.9, 0.026)
-        assert len(reads) == 2
-        assert abs(reads[0]) > abs(reads[1])
         assert cal.relative_phase == 0.0
-        assert cal.transcript[0]["zz_rate"] == reads[0]
+        assert cal.transcript[0]["iteration"] == 0
 
     @pytest.mark.parametrize("phi", [0.3, 0.7, 2.0, 3.0])
     def test_driven_zz_rate_is_even_in_the_phase(self, preset_a, phi):
         """With every CW tone phase 0 or pi, H(-phi) = H(phi)*, so the
-        time-domain rate is even in the gate tones' phase difference: its
-        extrema sit at 0 and pi, where the CZ precalibration reads it."""
+        time-domain rate is even in the gate tones' phase difference and
+        its extrema sit at 0 and pi."""
         assert {d.phase for d in preset_a.drives} <= {0.0, math.pi}
         frame = OperatingFrame(preset_a)
 
@@ -574,6 +562,18 @@ class TestNewtonLoop:
         assert "test loop above 1e-09 rad after 4 iterations" in str(info.value)
         assert [row["iteration"] for row in info.value.transcript] == [0, 1, 2, 3]
         assert all(row["max_angle_error"] >= 1.0 for row in info.value.transcript)
+
+    def test_stall_stops_the_solve(self):
+        """A residual that no step can lower below its first value stops the
+        solve once NEWTON_STALL_ITERATIONS iterations have kept that least
+        error, well before the iteration cap."""
+        with pytest.raises(NonconvergenceError) as info:
+            run_newton(lambda k: np.array([1.0 + abs(k.x - 1.0) + abs(k.y), k.y]),
+                       start=(1.0, 0.0), max_iterations=50)
+        stall = calibrate.NEWTON_STALL_ITERATIONS
+        assert [row["iteration"] for row in info.value.transcript] == list(range(stall + 1))
+        assert "least error, 1 rad at iteration 0" in str(info.value)
+        assert f"not lowered in {stall} iterations" in str(info.value)
 
     def test_check_sees_each_new_jacobian(self):
         seen = []

@@ -106,3 +106,43 @@ def test_no_src_module_imports_scipy_sparse_linalg():
     """Hermiticity is tested with numpy norms and label solves are Davidson's,
     so the package never imports scipy.sparse.linalg."""
     assert src_module_imports("scipy.sparse.linalg") == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """`<file>:<line> <name>` of each private function or class (`_x`, not
+    dunder) in `sources`, a {file: text} map, that no code reads outside
+    its own definition.  A read is a name, an attribute or an imported
+    name."""
+    defined, read = [], []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((node.name, file, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                read.append((node.id, file, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                read.append((node.attr, file, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                read.extend((alias.name, file, node.lineno) for alias in node.names)
+    return sorted(f"{file}:{first} {name}" for name, file, first, last in defined
+                  if not any(r == name and (f != file or not first <= line <= last)
+                             for r, f, line in read))
+
+
+def test_private_checker_skips_own_body_and_dunders():
+    sources = {"a.py": ("class _Used:\n    def __init__(self):\n        pass\n"
+                        "    def _method(self):\n        return self._method()\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "from b import _helper\n"),
+               "b.py": "def _helper():\n    return _Used()\n"}
+    assert unread_private_definitions(sources) == ["a.py:4 _method", "a.py:6 _recursive"]
+
+
+def test_every_private_definition_is_read():
+    """Each private function, method and class of the package is used
+    somewhere in it other than its own body: none is left behind when its
+    last caller goes."""
+    sources = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "starkzz").glob("*.py"))}
+    assert unread_private_definitions(sources) == []
