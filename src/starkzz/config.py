@@ -110,7 +110,11 @@ def validate_config(document: dict) -> dict:
     check_transmon_pair(doc.setdefault("pair", [0, 1]), len(transmons), "pair")
     doc.setdefault("couplings", [])
     doc.setdefault("drives", [])
-    doc.setdefault("frequencies_are_dressed", False)
+    if doc.setdefault("frequencies_are_dressed", False):
+        for i, t in enumerate(transmons):
+            if t["levels"] < 3:  # the bare fit matches each anharmonicity on |2>
+                raise ConfigError(f"must be >= 3 for dressed frequencies, got {t['levels']}",
+                                  f"transmons[{i}].levels")
     doc.setdefault("dimension_cap", 16384)
     doc.setdefault("name", "unnamed")
     return doc

@@ -10,12 +10,14 @@ Conventions used throughout the package:
 
 For one tensor layout (`SystemSpec.dims`) the Hamiltonian's structure never
 changes, only its coefficients: H = D + sum_k c_k O_k, with D diagonal.
-`mode_operators` caches, per `dims`, each mode's embedded sparse ladder
-operators and the occupation-number grid.  Every builder evaluates D (Duffing
-and bus energies) from the occupations and adds the coupling terms as
-coefficients times products of the cached operators.  In the rotating frame
-only the drive terms change from one sweep point to the next, so the
-sparsity pattern is fixed per drive-free system and frame:
+Matrices are `Csr`s: scipy's compressed-row triplet (data, indices, indptr)
+as plain numpy arrays, so assembly imports no scipy.  `mode_operators`
+caches, per `dims`, each mode's embedded ladder operators and the
+occupation-number grid.  Every builder evaluates D (Duffing and bus
+energies) from the occupations and adds the coupling terms as coefficients
+times products of the cached operators.  In the rotating frame only the
+drive terms change from one sweep point to the next, so the sparsity
+pattern is fixed per drive-free system and frame:
 `undriven_rwa_hamiltonian` caches an `RwaLayout`, the union of the undriven
 entries and every mode's ladder entries with the undriven values in it, and
 a drive setting is one fill of that pattern's data.  The dressed-to-bare
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DimensionCapError, MultiFrequencyFrameError
 
@@ -220,17 +221,64 @@ def ladder_ops(levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_hermitian(h, tol: float = HERMITICITY_TOL) -> bool:
-    """Relative Frobenius test of h = h^dagger, for a dense or sparse matrix.
+    """Relative Frobenius test of h = h^dagger, for a numpy array or a scipy.sparse matrix.
 
-    A sparse matrix's norms are taken over the data of its canonical CSR form.
+    A scipy matrix's norms are taken over the data of its canonical CSR
+    form, with the matrix's own methods, so this module imports no scipy.
     """
-    if scipy.sparse.issparse(h):
+    if isinstance(h, np.ndarray):
+        norm, gap_norm = np.linalg.norm(h), np.linalg.norm(h - h.conj().T)
+    else:
         h = h.tocsr(copy=True)
         h.sum_duplicates()  # a sparse difference is canonical already
         norm, gap_norm = np.linalg.norm(h.data), np.linalg.norm((h - h.conj().T).data)
-    else:
-        norm, gap_norm = np.linalg.norm(h), np.linalg.norm(h - h.conj().T)
     return norm == 0 or gap_norm / norm < tol
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A square sparse matrix as scipy's compressed-row triplet of numpy arrays.
+
+    Row r stores `data[indptr[r]:indptr[r + 1]]` at the ascending, distinct
+    columns `indices[indptr[r]:indptr[r + 1]]`, so
+    `scipy.sparse.csr_matrix((data, indices, indptr), shape)` takes it as is.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = len(self.indptr) - 1
+        return dim, dim
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        """Dense copy, by one scatter of the stored entries."""
+        dense = np.zeros(self.shape, self.data.dtype)
+        dense[self.rows, self.indices] = self.data
+        return dense
+
+
+def _pattern(dim: int, rows: np.ndarray, cols: np.ndarray):
+    """CSR pattern of the positions (rows, cols): (indices, indptr, slots),
+    where `slots[k]` is the data slot of position k (a repeat shares one)."""
+    keys, slots = np.unique(rows * dim + cols, return_inverse=True)
+    return keys % dim, np.searchsorted(keys // dim, np.arange(dim + 1)), slots
+
+
+def _product(left: Csr, right: Csr):
+    """(rows, cols, values) of left @ right for operators with at most one
+    entry per row, as two modes' ladder operators are: each is one product."""
+    middle = left.indices
+    keep = np.diff(right.indptr)[middle] > 0  # right has an entry in row `middle`
+    slot = right.indptr[middle[keep]]
+    return left.rows[keep], right.indices[slot], left.data[keep] * right.data[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +316,21 @@ def mode_operators(dims: tuple[int, ...]):
 
     Returns (occupations, lowering, raising): `occupations[m, k]` is mode
     m's occupation in basis state k, and `lowering[m]`/`raising[m]` are
-    mode m's ladder operators embedded in the full space as sparse CSR.
+    mode m's ladder operators embedded in the full space as `Csr`s, with at
+    most one entry per row.
     """
     if any(d < 2 for d in dims):
         raise ValueError(f"every mode needs >= 2 levels, got {dims}")
     occupations = np.indices(dims).reshape(len(dims), -1)
     dim = occupations.shape[1]
     lowering, raising = [], []
-    stride = dim
+    stride, bounds = dim, np.arange(dim + 1)
     for n, levels in zip(occupations, dims):
         stride //= levels
         upper = np.flatnonzero(n)  # states with the mode occupied
         data = np.sqrt(n[upper]).astype(complex)
-        lowering.append(scipy.sparse.csr_matrix((data, (upper - stride, upper)), (dim, dim)))
-        raising.append(scipy.sparse.csr_matrix((data, (upper, upper - stride)), (dim, dim)))
+        lowering.append(Csr(data, upper, np.searchsorted(upper - stride, bounds)))
+        raising.append(Csr(data, upper - stride, np.searchsorted(upper, bounds)))
     occupations.flags.writeable = False
     for matrix in lowering + raising:
         for array in (matrix.data, matrix.indices, matrix.indptr):
@@ -289,14 +338,15 @@ def mode_operators(dims: tuple[int, ...]):
     return occupations, tuple(lowering), tuple(raising)
 
 
-def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.sparse.csr_matrix:
+def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> Csr:
     """Diagonal (Duffing and bus energies) plus the coupling terms; drives ignored.
 
     Terms are added one at a time in declaration order; that order fixes
     the rounding of every entry, and with it every downstream output.
     """
     occupations, a, adag = mode_operators(system.dims)
-    diagonal = np.zeros(occupations.shape[1])
+    dim = occupations.shape[1]
+    diagonal = np.zeros(dim)
     for t, n in zip(system.transmons, occupations):
         levels = np.arange(t.levels, dtype=float)
         diagonal = diagonal + ((t.frequency - frame_frequency) * levels
@@ -305,9 +355,12 @@ def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.spars
 
     def couple(p: int, q: int, g: float):
         if rwa:
-            terms.extend((g * (adag[p] @ a[q]), g * (a[p] @ adag[q])))
-        else:
-            terms.append(g * ((a[p] + adag[p]) @ (a[q] + adag[q])))
+            factors = ((adag[p], a[q]), (a[p], adag[q]))
+        else:  # (a_p + a_p^+)(a_q + a_q^+), one ladder product at a time
+            factors = [(left, right) for left in (a[p], adag[p]) for right in (a[q], adag[q])]
+        for left, right in factors:
+            rows, cols, values = _product(left, right)
+            terms.append((rows, cols, g * values))
 
     bus_slot = system.num_transmons
     for c in system.couplings:
@@ -320,11 +373,13 @@ def _build(system: SystemSpec, frame_frequency: float, rwa: bool) -> scipy.spars
                 couple(endpoint, bus_slot, g)
             bus_slot += 1
 
-    h = scipy.sparse.diags(diagonal.astype(complex), format="csr")
-    for term in terms:
-        h = h + term
-    h.sort_indices()
-    return h
+    states = np.arange(dim)
+    rows, cols, values = (np.concatenate(part) for part in zip(
+        (states, states, diagonal.astype(complex)), *terms))
+    indices, indptr, slots = _pattern(dim, rows, cols)
+    data = np.zeros(len(indices), dtype=complex)
+    np.add.at(data, slots, values)  # a repeated entry sums in declaration order
+    return Csr(data, indices, indptr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +396,7 @@ class RwaLayout:
     read-only.
     """
 
-    undriven: scipy.sparse.csr_matrix
+    undriven: Csr
     ladders: tuple[tuple[np.ndarray, ...], ...]
 
     @property
@@ -360,31 +415,26 @@ def undriven_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> RwaL
     """
     if system.drives:
         raise ValueError("undriven_rwa_hamiltonian takes a system without drives")
-    h = _build(system, frame_frequency, rwa=True).tocoo()
-    ladders = [op.tocoo() for op in mode_operators(system.dims)[2]]
+    h = _build(system, frame_frequency, rwa=True)
+    ladders = [(op.rows, op.indices, op.data) for op in mode_operators(system.dims)[2]]
     # entry blocks: the undriven entries, every mode's raising entries, then their transposes
-    blocks = [(h.row, h.col), *((a.row, a.col) for a in ladders),
-              *((a.col, a.row) for a in ladders)]
-    rows, cols = (np.concatenate(part) for part in zip(*blocks))
-    order = np.lexsort((cols, rows))  # CSR order: by row, then by column
-    slots = np.empty_like(order)
-    slots[order] = np.arange(len(order))
+    blocks = [(h.rows, h.indices), *((r, c) for r, c, _ in ladders),
+              *((c, r) for r, c, _ in ladders)]
+    indices, indptr, slots = _pattern(h.shape[0], *(np.concatenate(part)
+                                                    for part in zip(*blocks)))
     undriven_slots, *ladder_slots = np.split(slots, np.cumsum([len(r) for r, _ in blocks[:-1]]))
-    data = np.zeros(len(order), dtype=complex)
+    data = np.zeros(len(indices), dtype=complex)
     data[undriven_slots] = h.data
-    dim = h.shape[0]
-    undriven = scipy.sparse.csr_matrix(
-        (data, cols[order], np.searchsorted(rows[order], np.arange(dim + 1))), (dim, dim))
+    undriven = Csr(data, indices, indptr)
     n = len(ladders)
-    entries = [(a.row, a.col, a.data, up, down)
-               for a, up, down in zip(ladders, ladder_slots[:n], ladder_slots[n:])]
-    for array in (undriven.data, undriven.indices, undriven.indptr,
-                  *(array for entry in entries for array in entry)):
+    entries = [(*ladder, up, down)
+               for ladder, up, down in zip(ladders, ladder_slots[:n], ladder_slots[n:])]
+    for array in (data, indices, indptr, *(array for entry in entries for array in entry)):
         array.flags.writeable = False
     return RwaLayout(undriven, tuple(entries))
 
 
-def build_static_hamiltonian_sparse(system: SystemSpec) -> scipy.sparse.csr_matrix:
+def build_static_hamiltonian_sparse(system: SystemSpec) -> Csr:
     """Sparse lab-frame Hamiltonian with full coupling terms (drives ignored)."""
     return _build(system, 0.0, rwa=False)
 
@@ -399,8 +449,7 @@ def build_static_hamiltonian(system: SystemSpec) -> np.ndarray:
     return build_static_hamiltonian_sparse(system).toarray()
 
 
-def build_rwa_hamiltonian_sparse(system: SystemSpec,
-                                 frame_frequency: float) -> scipy.sparse.csr_matrix:
+def build_rwa_hamiltonian_sparse(system: SystemSpec, frame_frequency: float) -> Csr:
     """Sparse rotating-frame Hamiltonian; see build_rwa_hamiltonian.
 
     The drives are added at their modes' slots of the cached `RwaLayout`,
@@ -422,7 +471,7 @@ def build_rwa_hamiltonian_sparse(system: SystemSpec,
         half = 0.5 * d.amplitude
         data[raising] += values * (half * np.exp(1j * d.phase))
         data[lowering] += values * (half * np.exp(-1j * d.phase))
-    return scipy.sparse.csr_matrix((data, h.indices, h.indptr), h.shape)
+    return Csr(data, h.indices, h.indptr)
 
 
 def build_rwa_hamiltonian(system: SystemSpec, frame_frequency: float) -> np.ndarray:

@@ -422,7 +422,9 @@ class TestZxCommand:
     (["zz", "--set", "couplings=" + json.dumps(
         [{"kind": "direct", "endpoints": [0, 1], "strength": 0.007},
          {"kind": "direct", "endpoints": [1, 0], "strength": 0.001}])],
-     "couplings[1].endpoints")])
+     "couplings[1].endpoints"),
+    # device-a's table is dressed: the bare fit reads each transmon's |2>
+    (["zz", "--set", "transmons.1.levels=2"], "transmons[1].levels")])
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, named):
     out = tmp_path / "out"
     assert main([*argv, "--preset", "device-a", "--out", str(out)]) == 2
@@ -589,13 +591,48 @@ def test_start_up_leaves_scipy_sparse_linalg_unloaded(tmp_path):
     assert not loads_module("scipy.sparse.linalg", start_up_commands(), tmp_path)
 
 
-def test_gates_and_zx_leave_scipy_optimize_unloaded(tmp_path):
-    """Gate angles and Pauli rates are read from the propagator, so the
-    seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them,
-    import no optimizer."""
-    assert not loads_module("scipy.optimize", [
+def gate_commands():
+    """The seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them."""
+    return [
         ("cnot.json", ["calibrate", "cnot", "--preset", "device-a", "--duration", "90"]),
         ("cz.json", ["calibrate", "cz", "--preset", "device-a", "--duration", "200",
                      "--gate-frequency", "4.9", "--gate-amplitude", "0.026"]),
         ("zx.csv", ["zx", "--preset", "device-a", "--amplitudes", "0.008:0.01:2"]),
-    ], tmp_path)
+    ]
+
+
+def test_gates_and_zx_leave_scipy_optimize_unloaded(tmp_path):
+    """Gate angles and Pauli rates are read from the propagator, so the
+    seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them,
+    import no optimizer."""
+    assert not loads_module("scipy.optimize", gate_commands(), tmp_path)
+
+
+def test_dense_commands_load_no_scipy(tmp_path):
+    """Operators are numpy CSR arrays and dense spectra numpy's eigh, so
+    fitting device-a, the start-up commands and the benchmark's gates and
+    `zx` (every matrix at or below DENSE_LIMIT) import no scipy module."""
+    prelude = ("from starkzz.config import load_preset, to_system\n"
+               "to_system(load_preset('device-a'))\n")
+    assert not loads_module("scipy", start_up_commands() + gate_commands(), tmp_path, prelude)
+
+
+def test_sparse_branch_loads_scipy_sparse_only(tmp_path):
+    """Above DENSE_LIMIT (lowered, as in test_sparse_path_matches_dense) the
+    label solves match the dense energies; they load scipy.sparse for its
+    CSR matvec and never scipy.linalg."""
+    prelude = (
+        "import math\n"
+        "from starkzz import spectrum\n"
+        "from starkzz.config import load_preset, to_system\n"
+        "from starkzz.operators import DriveTone\n"
+        "system = to_system(load_preset('device-a')).with_drives(\n"
+        "    (DriveTone(0, 0.059, 5.1, 0.7), DriveTone(1, 0.022, 5.1)))\n"
+        "dense = spectrum.rwa_spectrum(system, 5.1)\n"
+        "spectrum.DENSE_LIMIT = 8\n"
+        "lazy = spectrum.rwa_spectrum(system, 5.1)\n"
+        "assert dense.sparse is None and lazy.sparse is not None\n"
+        "for label in dense.labels:\n"
+        "    assert math.isclose(lazy.energy(label), dense.energy(label), abs_tol=1e-12)\n")
+    assert loads_module("scipy.sparse", [], tmp_path, prelude)
+    assert not loads_module("scipy.linalg", [], tmp_path, prelude)

@@ -108,6 +108,14 @@ def test_no_src_module_imports_scipy_sparse_linalg():
     assert src_module_imports("scipy.sparse.linalg") == []
 
 
+def test_scipy_sparse_only_above_dense_limit():
+    """The package imports no scipy.linalg, and scipy.sparse only inside the
+    function that hands the above-DENSE_LIMIT branch its CSR matrix:
+    operators are numpy CSR arrays and dense spectra numpy's eigh."""
+    assert src_module_imports("scipy.linalg") == []
+    assert src_module_imports("scipy.sparse") == ["spectrum._scipy_csr"]
+
+
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:
     """`<file>:<line> <name>` of each private function or class (`_x`, not
     dunder) in `sources`, a {file: text} map, that no code reads outside

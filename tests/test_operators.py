@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkzz.errors import DimensionCapError, MultiFrequencyFrameError
 from starkzz.operators import (CouplingKind, CouplingSpec, DriveTone, SystemSpec,
-                               TransmonSpec, _build, bare_index, build_rwa_hamiltonian,
+                               TransmonSpec, bare_index, build_rwa_hamiltonian,
                                build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, bus_coupling,
                                direct_coupling, is_hermitian, ladder_ops,
@@ -69,13 +70,14 @@ class TestEmbed:
         for slot, d in enumerate(dims):
             number = np.diag(np.arange(d, dtype=float))
             assert np.array_equal(np.diag(occupations[slot]), kron_embed(number, slot, dims))
-            product = (raising[slot] @ lowering[slot]).toarray()
+            product = raising[slot].toarray() @ lowering[slot].toarray()
             assert np.allclose(product, np.diag(occupations[slot]), atol=1e-14)
 
     def test_disjoint_slots_commute(self):
-        _, (a0, a1), (_, a1dag) = mode_operators((3, 3))
-        assert np.allclose((a0 @ a1 - a1 @ a0).toarray(), 0)
-        assert np.allclose((a0 @ a1dag - a1dag @ a0).toarray(), 0)
+        _, lowering, (_, raising) = mode_operators((3, 3))
+        a0, a1, a1dag = (op.toarray() for op in (*lowering, raising))
+        assert np.allclose(a0 @ a1 - a1 @ a0, 0)
+        assert np.allclose(a0 @ a1dag - a1dag @ a0, 0)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -319,16 +321,64 @@ class TestRwaHamiltonian:
         assert h[0, 1] == pytest.approx(0.01 * np.exp(-1j * 0.5))
 
 
+def kron_sum(system, frame_frequency, rwa):
+    """The drive-free Hamiltonian as a scipy.sparse sum of `ladder_ops` krons:
+    each transmon's Duffing diagonal, then per coupling in declaration order
+    its bus mode's diagonal and its terms, (a_p^+ a_q, a_p a_q^+) in the
+    exchange form or (a_p + a_p^+)(a_q + a_q^+) in full."""
+    dims = system.dims
+
+    def embed(op, slot):
+        out = scipy.sparse.identity(1, dtype=complex, format="csr")
+        for m, d in enumerate(dims):
+            factor = op if m == slot else np.eye(d)
+            out = scipy.sparse.kron(out, scipy.sparse.csr_matrix(factor), format="csr")
+        return out
+
+    a = [embed(ladder_ops(d)[0], m) for m, d in enumerate(dims)]
+    adag = [embed(ladder_ops(d)[1], m) for m, d in enumerate(dims)]
+    h = scipy.sparse.csr_matrix((system.total_dimension,) * 2, dtype=complex)
+    for m, t in enumerate(system.transmons):
+        levels = np.arange(t.levels, dtype=float)
+        h = h + embed(np.diag((t.frequency - frame_frequency) * levels
+                              + 0.5 * t.anharmonicity * levels * (levels - 1.0)), m)
+
+    def coupling(p, q, g):
+        if rwa:
+            return g * (adag[p] @ a[q]) + g * (a[p] @ adag[q])
+        return g * ((a[p] + adag[p]) @ (a[q] + adag[q]))
+
+    bus_slot = system.num_transmons
+    for c in system.couplings:
+        p, q = c.endpoints
+        if c.kind is CouplingKind.DIRECT:
+            h = h + coupling(p, q, c.strength)
+            continue
+        number = np.diag(np.arange(c.bus_levels, dtype=float))
+        h = h + (c.bus_frequency - frame_frequency) * embed(number, bus_slot)
+        for endpoint, g in zip((p, q), c.bus_couplings):
+            h = h + coupling(endpoint, bus_slot, g)
+        bus_slot += 1
+    return h, a, adag
+
+
 def per_tone_sum(system, frame_frequency):
-    """The RWA Hamiltonian as a scipy.sparse sum: the undriven part, then
-    each drive's ladder terms one at a time in declaration order."""
-    _, a, adag = mode_operators(system.dims)
-    h = _build(system, frame_frequency, rwa=True)
+    """The RWA Hamiltonian as a scipy.sparse sum: the undriven `kron_sum`,
+    then each drive's ladder terms one at a time in declaration order."""
+    h, a, adag = kron_sum(system, frame_frequency, rwa=True)
     for d in system.drives:
         half = 0.5 * d.amplitude
         h = h + (half * np.exp(1j * d.phase) * adag[d.target]
                  + half * np.exp(-1j * d.phase) * a[d.target])
     return h.toarray()
+
+
+def test_static_equals_kron_sum(device_a, device_b_pair, three_transmon_chain):
+    """Every entry of the counter-rotating Hamiltonian is bit-equal to the
+    scipy.sparse sum, with a bus mode (device-b pair) and a chain among them."""
+    for system in (device_a, device_b_pair, three_transmon_chain):
+        reference = kron_sum(system, 0.0, rwa=False)[0].toarray()
+        assert np.array_equal(build_static_hamiltonian(system), reference)
 
 
 class TestRwaLayout:
@@ -362,18 +412,19 @@ class TestRwaLayout:
             assert not any(array.flags.writeable for array in arrays)
         assert not np.shares_memory(builds[0].data, builds[1].data)
         excited = bare_index((1, 0, 0), device_b_pair.dims)  # transmon 0's tone reaches it
-        assert builds[0][excited, 0] != builds[1][excited, 0]
+        assert builds[0].toarray()[excited, 0] != builds[1].toarray()[excited, 0]
 
     def test_ladders_are_the_raising_operators(self, device_b_pair):
         """`ladders` holds each mode's raising entries, at slots that hold them."""
         layout = undriven_rwa_hamiltonian(device_b_pair, 5.1)
         h = layout.undriven
         rows_of_slot = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-        for (rows, cols, values, up, down), raising in zip(
-                layout.ladders, mode_operators(device_b_pair.dims)[2]):
-            coo = raising.tocoo()
-            assert (np.array_equal(rows, coo.row) and np.array_equal(cols, coo.col)
-                    and np.array_equal(values, coo.data))
+        dims = device_b_pair.dims
+        for m, (rows, cols, values, up, down) in enumerate(layout.ladders):
+            raising = kron_embed(ladder_ops(dims[m])[1], m, dims)
+            assert np.array_equal(rows, np.nonzero(raising)[0])
+            assert np.array_equal(cols, np.nonzero(raising)[1])
+            assert np.array_equal(values, raising[rows, cols])
             assert np.array_equal(rows_of_slot[up], rows) and np.array_equal(h.indices[up], cols)
             assert np.array_equal(rows_of_slot[down], cols)
             assert np.array_equal(h.indices[down], rows)
@@ -419,16 +470,16 @@ class TestUndrivenCache:
             replace(first, frequency=first.frequency + 0.01),
             *three_transmon_chain.transmons[1:]))
         undriven_rwa_hamiltonian.cache_clear()
-        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1)
-        h_moved = build_rwa_hamiltonian_sparse(moved, 5.1)
+        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1).toarray()
+        h_moved = build_rwa_hamiltonian_sparse(moved, 5.1).toarray()
         assert undriven_rwa_hamiltonian.cache_info()[:2] == (0, 2)  # (hits, misses)
         excited = 16  # bare label (1, 0, 0)
         assert h_moved[excited, excited] - h[excited, excited] == pytest.approx(0.01, abs=1e-12)
 
     def test_changed_frame_misses(self, three_transmon_chain):
         undriven_rwa_hamiltonian.cache_clear()
-        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1)
-        h_frame = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.0)
+        h = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.1).toarray()
+        h_frame = build_rwa_hamiltonian_sparse(three_transmon_chain, 5.0).toarray()
         assert undriven_rwa_hamiltonian.cache_info()[:2] == (0, 2)  # (hits, misses)
         # bare label (1, 1, 1): three excitations, each 0.1 GHz higher in the slower frame
         assert h_frame[21, 21] - h[21, 21] == pytest.approx(0.3, abs=1e-12)
