@@ -7,12 +7,16 @@ CSV files carry a `#` header block with the tool version, config hash,
 seed, and per-column units, and floats are printed with 12 significant
 digits.  Exit codes: 0 success, 2 validation, 3 nonconvergence,
 4 numerical failure.
+
+The gate layers load with the commands that run them: `cmd_zx` imports
+`pulse` and `cmd_calibrate` imports `calibrate` and `pulse`, so `zz` and
+`sweep` load neither (`--dt` defaults to `pulse.DEFAULT_DT` where a
+command propagates).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -24,19 +28,14 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .calibrate import (CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS, GATE_SIGMA,
-                        chain_cancellation, calibrate_cnot, calibrate_cz,
-                        find_cancellation_amplitude)
 from .config import (apply_override, check_transmon_pair, config_hash, load_config,
                      load_preset, validate_config, to_system, with_levels)
 from .errors import (ConfigError, NonconvergenceError, SingularDetuningError,
                      StarkZZError)
 from .perturbation import (PerturbativeInputs, sizzle_zz, static_zz,
                            zx_with_cancellation)
-from .pulse import (DEFAULT_DT, OperatingFrame, extract_pauli_rates,
-                    schedule_to_document)
 from .spectrum import (AMBIGUOUS_OVERLAP, DRIVE_AXES, apply_drive_axis,
-                       driven_pair_rates, pair_rates, static_spectrum,
+                       driven_pair_rates, map_points, pair_rates, static_spectrum,
                        undriven_reference)
 
 EXIT_OK = 0
@@ -200,11 +199,7 @@ def cmd_sweep(args) -> int:
             return (*point, float("nan"), float("nan"), float("nan"),
                     float("nan"), 0, f"{type(exc).__name__}: {exc}")
 
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(evaluate, grid))
-    else:
-        rows = [evaluate(point) for point in grid]
+    rows = map_points(evaluate, grid, args.threads)
 
     axis_names = [path for path, _ in axes]
     columns = axis_names + ["zz_numeric", "zz_perturbative", "zi", "iz",
@@ -220,7 +215,9 @@ def cmd_sweep(args) -> int:
 # zx
 
 def cmd_zx(args) -> int:
+    from .pulse import DEFAULT_DT, OperatingFrame, extract_pauli_rates
     doc = _effective_config(args)
+    dt = DEFAULT_DT if args.dt is None else args.dt
     system = to_system(doc)
     if system.num_transmons != 2:
         raise ConfigError("zx requires a two-transmon config")
@@ -249,7 +246,7 @@ def cmd_zx(args) -> int:
                         carrier = probe.dressed_frequency(target)
                         tomography = frame(variant, carrier)
                     rates = extract_pauli_rates(variant, float(omega), carrier,
-                                                control, target, dt=args.dt, frame=tomography)
+                                                control, target, dt=dt, frame=tomography)
                     tomo = rates["ZX"]
                 inputs = PerturbativeInputs.for_pair(variant, q0, q1)
                 pert = float(zx_with_cancellation(
@@ -263,7 +260,7 @@ def cmd_zx(args) -> int:
     columns = ["omega_cr", "zx_tomography_on", "zx_perturbative_on", "error_on",
                "zx_tomography_off", "zx_perturbative_off", "error_off"]
     units = {c: ("text" if c.startswith("error") else "GHz") for c in columns}
-    write_csv(args.out, _csv_header(doc, args.seed, units, args.dt), columns, rows)
+    write_csv(args.out, _csv_header(doc, args.seed, units, dt), columns, rows)
     return EXIT_OK
 
 
@@ -271,6 +268,10 @@ def cmd_zx(args) -> int:
 # calibrate
 
 def cmd_calibrate(args) -> int:
+    from .calibrate import (CNOT_RISE_SIGMAS, CZ_RISE_SIGMAS, GATE_SIGMA,
+                            chain_cancellation, calibrate_cnot, calibrate_cz,
+                            find_cancellation_amplitude)
+    from .pulse import DEFAULT_DT, schedule_to_document
     doc = _effective_config(args)
     positive = {"--gate-frequency": args.gate_frequency, "--max-scale": args.max_scale,
                 "--drive-frequency": args.drive_frequency, "--seed-shift": args.seed_shift}
@@ -333,11 +334,12 @@ def cmd_calibrate(args) -> int:
             raise ConfigError(f"must cover the {shortest:g} ns rise plus fall of the "
                               f"{args.gate} pulse, got {args.duration}", "--duration")
         pair = {"control": args.control, "target": args.target}
+        dt = DEFAULT_DT if args.dt is None else args.dt
         if args.gate == "cnot":
-            cal = calibrate_cnot(system, args.duration, dt=args.dt, **pair)
+            cal = calibrate_cnot(system, args.duration, dt=dt, **pair)
         else:
             cal = calibrate_cz(system, args.duration, args.gate_frequency,
-                               args.gate_amplitude, dt=args.dt, **pair)
+                               args.gate_amplitude, dt=dt, **pair)
         gate = cal.result  # scored from the calibration's own propagation
         result = {
             "routine": args.gate,
@@ -345,7 +347,7 @@ def cmd_calibrate(args) -> int:
                if f.name not in ("converged", "transcript", "result")},
             "fidelity": gate.fidelity,
             "leakage": gate.leakage,
-            "dt": args.dt,
+            "dt": dt,
             "schedule": schedule_to_document(gate.schedule),
         }
         transcript_columns, transcript_rows = _transcript_table(cal.transcript)
@@ -380,7 +382,7 @@ def _effective_config(args) -> dict:
         if args.levels < 2:
             raise ConfigError(f"must be at least 2, got {args.levels}", "--levels")
         doc = with_levels(doc, args.levels)
-    if not 0.0 < args.dt < math.inf:
+    if args.dt is not None and not 0.0 < args.dt < math.inf:
         raise ConfigError(f"must be a positive step in ns, got {args.dt}", "--dt")
     if args.threads < 1:
         raise ConfigError(f"must be at least 1, got {args.threads}", "--threads")
@@ -394,9 +396,10 @@ def _add_common(parser) -> None:
                         help="override a config entry (dotted path, JSON value)")
     parser.add_argument("--out", help="output path (JSON or CSV by subcommand)")
     parser.add_argument("--levels", type=int, help="override transmon truncation")
-    parser.add_argument("--dt", type=float, default=DEFAULT_DT,
-                        help="largest propagation step in ns (fourth-order "
-                             "commutator-free Magnus steps, error ~ dt^4)")
+    parser.add_argument("--dt", type=float,
+                        help="largest propagation step in ns (default "
+                             "pulse.DEFAULT_DT; fourth-order commutator-free "
+                             "Magnus steps, error ~ dt^4)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for sweep grids (N >= 1)")
     parser.add_argument("--seed", type=int, default=0,

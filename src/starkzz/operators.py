@@ -267,8 +267,21 @@ class Csr:
 
 def _pattern(dim: int, rows: np.ndarray, cols: np.ndarray):
     """CSR pattern of the positions (rows, cols): (indices, indptr, slots),
-    where `slots[k]` is the data slot of position k (a repeat shares one)."""
-    keys, slots = np.unique(rows * dim + cols, return_inverse=True)
+    where `slots[k]` is the data slot of position k (a repeat shares one).
+
+    The keys and slots are `np.unique(rows * dim + cols, return_inverse=True)`'s,
+    made by one sort, a first-of-run mask and a cumulative sum (tied keys
+    share a slot, so the sort need not be stable).  numpy 2.4's `unique`
+    imports `numpy.ma` on its hash-table path, which nothing else at
+    start-up loads; the package calls no `np.unique`."""
+    flat = rows * dim + cols
+    order = np.argsort(flat)
+    ordered = flat[order]
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    keys = ordered[first]
+    slots = np.empty(len(flat), np.intp)
+    slots[order] = np.cumsum(first) - 1
     return keys % dim, np.searchsorted(keys // dim, np.arange(dim + 1)), slots
 
 

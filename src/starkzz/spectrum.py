@@ -10,7 +10,6 @@ makes `iz` roughly -2x the dressed frequency of qubit 1 in the lab frame.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -107,8 +106,10 @@ def assign_labels(vecs: np.ndarray) -> np.ndarray:
     """
     weights = np.abs(vecs) ** 2  # weights[b, k] = |<bare b|eig k>|^2
     greedy = np.argmax(weights, axis=0)
-    if len(np.unique(greedy)) == weights.shape[1]:
-        return np.argsort(greedy)
+    order = np.argsort(greedy)
+    # A bijection sorts to 0..n-1 (tested without np.unique, which loads numpy.ma).
+    if np.array_equal(greedy[order], np.arange(len(greedy))):
+        return order
     import scipy.optimize  # off start-up: a greedy bijection is already the matching
     _, cols = scipy.optimize.linear_sum_assignment(weights, maximize=True)
     return cols
@@ -299,10 +300,20 @@ def zz_vs_parameter(system: SystemSpec, axis: str, values, q0: int = 0, q1: int 
         modified = apply_drive_axis(system, axis, value)
         return value, driven_pair_rates(modified, q0, q1, reference=reference)
 
+    return map_points(point, values, workers)
+
+
+def map_points(evaluate, points, workers: int | None) -> list:
+    """`[evaluate(p) for p in points]`, in a thread pool when `workers` > 1.
+
+    Results keep the input order whatever the completion order.
+    `concurrent.futures` is imported only here, when a pool is asked for.
+    """
     if workers and workers > 1:
+        import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, values))
-    return [point(v) for v in values]
+            return list(pool.map(evaluate, points))
+    return [evaluate(p) for p in points]
 
 
 # ---------------------------------------------------------------------------

@@ -437,8 +437,8 @@ class TestCalibrateCommand:
         """The calibration builds the one frame, and the JSON schedule is
         the one its result was scored from."""
         cals = []
-        routine = cli.calibrate_cnot
-        monkeypatch.setattr(cli, "calibrate_cnot",
+        routine = calibrate.calibrate_cnot
+        monkeypatch.setattr(calibrate, "calibrate_cnot",
                             lambda *a, **kw: cals.append(routine(*a, **kw)) or cals[-1])
         out = tmp_path / "cnot.json"
         assert main(["calibrate", "cnot", "--preset", "device-a", "--duration", "90",
@@ -461,14 +461,14 @@ class TestCalibrateCommand:
         propagate = calibrate.propagate
         monkeypatch.setattr(calibrate, "propagate", lambda system, schedule, **kw: (
             propagated.append(schedule) or propagate(system, schedule, **kw)))
-        routine = getattr(cli, f"calibrate_{gate}")
+        routine = getattr(calibrate, f"calibrate_{gate}")
 
         def counted(*args, **kwargs):
             cal = routine(*args, **kwargs)
             calibrated.append((cal, len(propagated)))
             return cal
 
-        monkeypatch.setattr(cli, f"calibrate_{gate}", counted)
+        monkeypatch.setattr(calibrate, f"calibrate_{gate}", counted)
         out = tmp_path / f"{gate}.json"
         assert main(["calibrate", gate, "--preset", "device-a", *flags,
                      "--out", str(out)]) == 0
@@ -545,19 +545,19 @@ class TestCalibrateCommand:
         assert "insensitive to the gate amplitude" in capsys.readouterr().err
 
 
-def loads_module(module, commands, tmp_path, prelude="") -> bool:
-    """Whether a fresh process that runs `prelude` and then each CLI
-    argument list (with --out into tmp_path) imports `module`."""
+def loaded_modules(commands, tmp_path, prelude="") -> set[str]:
+    """The modules a fresh process holds after importing the CLI, running
+    `prelude` and then each CLI argument list (with --out into tmp_path)."""
     runs = "".join(
         f"assert starkzz.cli.main({[*argv, '--out', str(tmp_path / name)]!r}) == 0\n"
         for name, argv in commands)
     script = ("import sys\nimport starkzz.cli\n" + prelude + runs
-              + f"print({module!r} in sys.modules)\n")
+              + "print(' '.join(sorted(sys.modules)))\n")
     src = pathlib.Path(cli.__file__).parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
                           check=True)
-    return done.stdout.splitlines()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def start_up_commands():
@@ -567,28 +567,20 @@ def start_up_commands():
         ("transmons", doc["transmons"][:3]),
         ("couplings", [c for c in doc["couplings"] if max(c["endpoints"]) < 3]))]
     return [
-        ("zz.json", ["zz", "--preset", "device-a"]),
-        ("phase.csv", ["sweep", "--preset", "device-a",
-                       "--axis", "drives.phase_difference:0:6.283185307179586:41"]),
+        *spectral_read_commands(),
         ("chain.json", ["calibrate", "chain", "--preset", "device-b-chain",
                         "--set", cut[0], "--set", cut[1]]),
         ("cancel.json", ["calibrate", "cancel", "--preset", "device-b-pair"]),
     ]
 
 
-def test_start_up_leaves_scipy_optimize_unloaded(tmp_path):
-    """Importing the CLI, fitting device-a's bare parameters and running
-    `zz`, a phase sweep, a 3-transmon `calibrate chain` and `calibrate cancel`
-    load no optimizer, so these commands do not pay for importing scipy.optimize."""
-    prelude = ("from starkzz.config import load_preset, to_system\n"
-               "to_system(load_preset('device-a'))\n")
-    assert not loads_module("scipy.optimize", start_up_commands(), tmp_path, prelude)
-
-
-def test_start_up_leaves_scipy_sparse_linalg_unloaded(tmp_path):
-    """Hermiticity is tested with numpy norms and label solves are Davidson's,
-    so the same commands never import scipy.sparse.linalg."""
-    assert not loads_module("scipy.sparse.linalg", start_up_commands(), tmp_path)
+def spectral_read_commands():
+    """`zz` and the 41-point phase sweep: spectra only, no propagation."""
+    return [
+        ("zz.json", ["zz", "--preset", "device-a"]),
+        ("phase.csv", ["sweep", "--preset", "device-a",
+                       "--axis", "drives.phase_difference:0:6.283185307179586:41"]),
+    ]
 
 
 def gate_commands():
@@ -601,20 +593,33 @@ def gate_commands():
     ]
 
 
-def test_gates_and_zx_leave_scipy_optimize_unloaded(tmp_path):
-    """Gate angles and Pauli rates are read from the propagator, so the
-    seed-0 CNOT, the CZ and a 2-point `zx`, as the benchmark runs them,
-    import no optimizer."""
-    assert not loads_module("scipy.optimize", gate_commands(), tmp_path)
-
-
 def test_dense_commands_load_no_scipy(tmp_path):
-    """Operators are numpy CSR arrays and dense spectra numpy's eigh, so
-    fitting device-a, the start-up commands and the benchmark's gates and
-    `zx` (every matrix at or below DENSE_LIMIT) import no scipy module."""
+    """Operators are numpy CSR arrays, dense spectra numpy's eigh, gate
+    angles and Pauli rates are read from the propagator, and no src code
+    calls `np.unique`.  So fitting device-a, the start-up commands
+    (`zz`, a phase sweep, a 3-transmon `calibrate chain`, `calibrate
+    cancel`) and the benchmark's gates and `zx` (every matrix at or below
+    DENSE_LIMIT) import no scipy module (scipy.optimize and
+    scipy.sparse.linalg among them) and no numpy.ma."""
     prelude = ("from starkzz.config import load_preset, to_system\n"
                "to_system(load_preset('device-a'))\n")
-    assert not loads_module("scipy", start_up_commands() + gate_commands(), tmp_path, prelude)
+    modules = loaded_modules(start_up_commands() + gate_commands(), tmp_path, prelude)
+    assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
+    assert "numpy.ma" not in modules
+
+
+def test_set_up_and_spectral_reads_load_no_gate_layer(tmp_path):
+    """The benchmark's set-up (perfbench/setup_probe.py for both workloads:
+    importing the CLI and building every preset, the bench chain cut
+    included), `zz` and the 41-point phase sweep load neither gate layer,
+    nor numpy.ma (`np.unique`'s) nor concurrent.futures (`--threads` > 1)."""
+    probe = pathlib.Path(__file__).parents[1] / "perfbench"
+    prelude = (f"sys.path.insert(0, {str(probe)!r})\n"
+               "import setup_probe\n"
+               "setup_probe.main('spectral')\nsetup_probe.main('pulse')\n")
+    modules = loaded_modules(spectral_read_commands(), tmp_path, prelude)
+    unrun = ("starkzz.calibrate", "starkzz.pulse", "numpy.ma", "concurrent.futures")
+    assert [m for m in unrun if m in modules] == []
 
 
 def test_sparse_branch_loads_scipy_sparse_only(tmp_path):
@@ -634,5 +639,6 @@ def test_sparse_branch_loads_scipy_sparse_only(tmp_path):
         "assert dense.sparse is None and lazy.sparse is not None\n"
         "for label in dense.labels:\n"
         "    assert math.isclose(lazy.energy(label), dense.energy(label), abs_tol=1e-12)\n")
-    assert loads_module("scipy.sparse", [], tmp_path, prelude)
-    assert not loads_module("scipy.linalg", [], tmp_path, prelude)
+    modules = loaded_modules([], tmp_path, prelude)
+    assert "scipy.sparse" in modules
+    assert "scipy.linalg" not in modules

@@ -116,6 +116,36 @@ def test_scipy_sparse_only_above_dense_limit():
     assert src_module_imports("scipy.sparse") == ["spectrum._scipy_csr"]
 
 
+def test_cli_loads_the_gate_layers_in_their_commands():
+    """`zz` and `sweep` never propagate, so the CLI imports the pulse layer
+    only in `zx` and `calibrate`, and the calibrate layer only in `calibrate`."""
+    source = (ROOT / "src" / "starkzz" / "cli.py").read_text()
+    assert module_imports(source, "pulse") == ["cmd_zx", "cmd_calibrate"]
+    assert module_imports(source, "calibrate") == ["cmd_calibrate"]
+
+
+def test_thread_pool_only_in_map_points():
+    """`--threads` > 1 and `zz_vs_parameter(workers=...)` share one pool
+    helper, the one place concurrent.futures is imported."""
+    assert src_module_imports("concurrent.futures") == ["spectrum.map_points"]
+
+
+def np_unique_calls(source: str) -> list[int]:
+    """Lines of `source` that read `np.unique` or `numpy.unique`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and dotted(node) in ("np.unique", "numpy.unique")]
+
+
+def test_no_src_function_calls_np_unique():
+    """numpy 2.4's `unique` imports numpy.ma (about 10 ms) through
+    `np.ma.is_masked` on its hash-table path; the package sorts instead."""
+    assert np_unique_calls("import numpy as np\nk = np.unique(x)\n") == [2]
+    calls = {path.name: np_unique_calls(path.read_text())
+             for path in sorted((ROOT / "src" / "starkzz").glob("*.py"))}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:
     """`<file>:<line> <name>` of each private function or class (`_x`, not
     dunder) in `sources`, a {file: text} map, that no code reads outside

@@ -13,7 +13,7 @@ from starkzz.operators import (CouplingKind, CouplingSpec, DriveTone, SystemSpec
                                build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, bus_coupling,
                                direct_coupling, is_hermitian, ladder_ops,
-                               mode_operators, undriven_rwa_hamiltonian)
+                               mode_operators, undriven_rwa_hamiltonian, _pattern)
 
 
 def kron_embed(op, slot, dims):
@@ -379,6 +379,23 @@ def test_static_equals_kron_sum(device_a, device_b_pair, three_transmon_chain):
     for system in (device_a, device_b_pair, three_transmon_chain):
         reference = kron_sum(system, 0.0, rwa=False)[0].toarray()
         assert np.array_equal(build_static_hamiltonian(system), reference)
+
+
+@pytest.mark.parametrize("positions", [
+    np.random.default_rng(0).integers(0, 7, size=(2, 60)),  # repeats
+    np.array([[3], [4]]),  # one entry
+    np.array(np.divmod(np.random.default_rng(1).permutation(49)[:20], 7))],  # distinct
+    ids=["repeats", "one-entry", "no-repeats"])
+def test_pattern_is_np_unique(positions):
+    """`_pattern`'s keys and slots are `np.unique(..., return_inverse=True)`'s,
+    bit for bit and dtype for dtype, although it never calls it."""
+    dim = 7
+    rows, cols = positions
+    indices, indptr, slots = _pattern(dim, rows, cols)
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    assert np.array_equal(slots, inverse) and slots.dtype == inverse.dtype
+    assert np.array_equal(indices, keys % dim) and indices.dtype == keys.dtype
+    assert np.array_equal(indptr, np.searchsorted(keys // dim, np.arange(dim + 1)))
 
 
 class TestRwaLayout:

@@ -15,8 +15,8 @@ from starkzz.operators import (DriveTone, SystemSpec, TransmonSpec,
                                build_rwa_hamiltonian, build_rwa_hamiltonian_sparse,
                                build_static_hamiltonian, build_static_hamiltonian_sparse,
                                computational_labels, direct_coupling)
-from starkzz.spectrum import (AMBIGUOUS_OVERLAP, driven_pair_rates, effective_j,
-                              fit_bare_transmons, labeled_spectrum, pair_rates,
+from starkzz.spectrum import (AMBIGUOUS_OVERLAP, assign_labels, driven_pair_rates,
+                              effective_j, fit_bare_transmons, labeled_spectrum, pair_rates,
                               rwa_spectrum, single_path_equivalent, static_spectrum,
                               undriven_reference, zz_vs_parameter)
 
@@ -76,6 +76,26 @@ class TestLabeledSpectrum:
         for absent in ((0,), (0, 0, 0), (-1, 0), (0, 5)):
             with pytest.raises(MissingLabelError):
                 spec.energy(absent)
+
+
+class TestAssignLabels:
+    def test_bijective_greedy_is_its_argsort(self):
+        """Each eigenvector's largest weight on a distinct bare state: the
+        order is `argsort` of those argmaxes."""
+        vecs, _ = np.linalg.qr(np.eye(5)[[3, 0, 4, 1, 2]].T
+                               + 0.1 * np.random.default_rng(0).normal(size=(5, 5)))
+        greedy = np.argmax(np.abs(vecs) ** 2, axis=0)
+        assert sorted(greedy) == list(range(5))
+        assert np.array_equal(assign_labels(vecs), np.argsort(greedy))
+
+    def test_collision_falls_back_to_the_matching(self):
+        """Eigenvectors 0 and 1 both favour bare state 1 (0.55 and 0.9 of
+        their weight): the order is the maximum-weight matching, which gives
+        state 1 the heavier eigenvector 1, not `argsort`'s first comer."""
+        vecs = np.sqrt([[0.0, 0.0, 1.0], [0.55, 0.9, 0.0], [0.45, 0.1, 0.0]])
+        greedy = np.argmax(np.abs(vecs) ** 2, axis=0)
+        assert list(greedy) == [1, 1, 0] and list(np.argsort(greedy)) == [2, 0, 1]
+        assert list(assign_labels(vecs)) == [2, 1, 0]
 
 
 class TestSparseSpectrum:
